@@ -5,7 +5,7 @@
 DUNE ?= dune
 
 .PHONY: all build test fmt lint prove trace serve-smoke top-smoke sim-smoke \
-  clean-tree bench bench-gate ci clean
+  race-smoke clean-tree bench bench-gate ci clean
 
 all: build
 
@@ -129,6 +129,19 @@ sim-smoke: build
 	grep '^\[' "$$dir/cold.txt" | diff - "$$dir/warm-cells.txt"; \
 	echo "sim-smoke: OK (invariants hold, warm resume bit-identical)"
 
+# The first-use race probe, mirroring the race-smoke CI job: 300 fresh
+# processes, each running a two-domain Pool.run and two concurrent
+# Engine.runs (test/race/race_smoke.ml).  A process that raises or
+# hangs past its timeout counts as a failure; 0 failures required.
+race-smoke: build
+	@exe="$$(pwd)/_build/default/test/race/race_smoke.exe"; \
+	fails=0; \
+	for i in $$(seq 1 300); do \
+	  timeout 10 "$$exe" || fails=$$((fails + 1)); \
+	done; \
+	echo "race-smoke: $$fails failures in 300 fresh processes"; \
+	[ "$$fails" -eq 0 ]
+
 clean-tree:
 	@if git ls-files _build | grep -q .; then \
 	  echo "clean-tree: _build/ artifacts are tracked in git"; \
@@ -166,7 +179,8 @@ bench-gate: bench
 	$(DUNE) exec bench/check_regression.exe -- \
 	  bench/baseline/BENCH_sim.json BENCH_sim.json
 
-ci: build test fmt lint prove trace clean-tree bench-gate top-smoke sim-smoke
+ci: build test fmt lint prove trace clean-tree bench-gate top-smoke sim-smoke \
+  race-smoke
 
 clean:
 	$(DUNE) clean

@@ -1285,7 +1285,7 @@ let submit_cmd =
       | Wire.Overloaded { queue_depth; _ } ->
           Format.printf "[%d] %-9s %-28s queue full (depth %d)@." index
             "OVERLOADED" (Job.label job) queue_depth
-      | Wire.Hello _ | Wire.Stats_report _ | Wire.Metrics_report _
+      | Wire.Hello _ | Wire.Metrics_report _
       | Wire.Pong | Wire.Error_msg _ ->
           ()
     in

@@ -61,30 +61,30 @@ let () =
   (* Behavioural confirmation: the adaptive simulator completes a
      stress burst under the protected function. *)
   let workload =
-    Noc_sim.Adaptive_engine.workload_of_flows net ~packet_length:8
+    Noc_sim.Engine.workload_of_flows net ~packet_length:8
       ~packets_per_flow:2
   in
   Format.printf "4) Adaptive simulation under the escape-protected function:@.";
-  (match Noc_sim.Adaptive_engine.run net rf workload with
-  | Noc_sim.Adaptive_engine.Completed s ->
+  (match Noc_sim.Engine.run_adaptive net rf workload with
+  | Noc_sim.Engine.Completed s ->
       Format.printf
         "   completed: %d packets in %d cycles, avg latency %.1f@.@."
         s.Noc_sim.Stats.delivered s.Noc_sim.Stats.cycles
         (Noc_sim.Stats.avg_latency s)
   | outcome ->
-      Format.printf "   %a@.@." Noc_sim.Adaptive_engine.pp_outcome outcome);
+      Format.printf "   %a@.@." Noc_sim.Engine.pp_outcome outcome);
   (* And the same workload on an UNPROTECTED single-lane ring stalls. *)
   let ring = Noc_experiments.Ring_example.build () in
   let ring_net = ring.Noc_experiments.Ring_example.net in
   let ring_rf = Routing_function.minimal_adaptive ring_net in
   let ring_load =
-    Noc_sim.Adaptive_engine.workload_of_flows ring_net ~packet_length:8
+    Noc_sim.Engine.workload_of_flows ring_net ~packet_length:8
       ~packets_per_flow:2
   in
   Format.printf "5) Same experiment, adaptive routing on the unprotected ring:@.";
-  match Noc_sim.Adaptive_engine.run ring_net ring_rf ring_load with
-  | Noc_sim.Adaptive_engine.Stalled d ->
+  match Noc_sim.Engine.run_adaptive ring_net ring_rf ring_load with
+  | Noc_sim.Engine.Deadlocked d ->
       Format.printf "   STALLED at cycle %d with %d flits stuck — the deadlock \
                      the paper's algorithm exists to prevent.@."
-        d.Noc_sim.Adaptive_engine.cycle d.Noc_sim.Adaptive_engine.in_network_flits
-  | outcome -> Format.printf "   %a@." Noc_sim.Adaptive_engine.pp_outcome outcome
+        d.Noc_sim.Engine.cycle d.Noc_sim.Engine.in_network_flits
+  | outcome -> Format.printf "   %a@." Noc_sim.Engine.pp_outcome outcome

@@ -28,8 +28,6 @@
    signal handler or another domain: it only sets an atomic and writes
    one byte. *)
 
-module Json = Noc_json.Json
-
 (* Lazy, forced in [create]: the serve.* family belongs in a daemon's
    registry from startup (a /metrics report with the counters at zero),
    but not in the traces of CLI runs that never start a server. *)
@@ -45,7 +43,6 @@ type serve_metrics = {
   (* Per-method request-handling latency (admission time for submit —
      the queue and solver are covered by m_submit_to_result_ms). *)
   m_req_submit : Noc_obs.Metrics.histogram;
-  m_req_stats : Noc_obs.Metrics.histogram;
   m_req_metrics : Noc_obs.Metrics.histogram;
   m_req_ping : Noc_obs.Metrics.histogram;
   (* Receipt of the submit frame to the result frame going out. *)
@@ -68,7 +65,6 @@ let serve_metrics =
        m_queue_depth = Noc_obs.Metrics.gauge "noc_serve_queue_depth";
        m_inflight = Noc_obs.Metrics.gauge "noc_serve_inflight";
        m_req_submit = request_ms "submit";
-       m_req_stats = request_ms "stats";
        m_req_metrics = request_ms "metrics";
        m_req_ping = request_ms "ping";
        m_submit_to_result_ms =
@@ -219,50 +215,6 @@ let metrics_report t =
       mr_slo = Noc_obs.Slo.to_json verdicts;
     }
 
-(* The legacy text report behind the deprecated Stats request; the
-   line shapes are pinned by the serve-smoke/store-persistence CI
-   greps, so it renders from the same typed record the Metrics reply
-   carries. *)
-let render_stats b (s : Wire.stats) =
-  Printf.bprintf b "serve_uptime_seconds %.3f\n" s.Wire.uptime_s;
-  Printf.bprintf b "serve_queue_depth %d\n" s.Wire.queue_depth;
-  Printf.bprintf b "serve_inflight %d\n" s.Wire.inflight;
-  Printf.bprintf b "serve_draining %d\n" (if s.Wire.draining then 1 else 0);
-  match s.Wire.store with
-  | None -> Printf.bprintf b "store_enabled 0\n"
-  | Some st ->
-      Printf.bprintf b "store_enabled 1\n";
-      Printf.bprintf b "store_entries %d\n" st.Wire.entries;
-      Printf.bprintf b "store_hits %d\n" st.Wire.hits;
-      Printf.bprintf b "store_misses %d\n" st.Wire.misses;
-      Printf.bprintf b "store_evictions %d\n" st.Wire.evictions;
-      Printf.bprintf b "store_hit_rate %.6f\n" st.Wire.hit_rate
-
-let render_metric b m =
-  match m with
-  | Noc_obs.Metrics.Counter { value; _ } ->
-      Printf.bprintf b "%s %d\n" (Noc_obs.Metrics.metric_name m) value
-  | Noc_obs.Metrics.Gauge { value; _ } ->
-      Printf.bprintf b "%s %g\n" (Noc_obs.Metrics.metric_name m) value
-  | Noc_obs.Metrics.Histogram { buckets; overflow; count; sum; _ } ->
-      let name = Noc_obs.Metrics.metric_name m in
-      let cum = ref 0 in
-      List.iter
-        (fun (le, n) ->
-          cum := !cum + n;
-          Printf.bprintf b "%s_bucket{le=\"%g\"} %d\n" name le !cum)
-        buckets;
-      Printf.bprintf b "%s_bucket{le=\"+Inf\"} %d\n" name (!cum + overflow);
-      Printf.bprintf b "%s_sum %g\n" name sum;
-      Printf.bprintf b "%s_count %d\n" name count
-
-let stats_report t =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "# noc serve metrics (%s)\n" Wire.protocol;
-  render_stats b (typed_stats t);
-  List.iter (render_metric b) (Noc_obs.Metrics.snapshot ());
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 (* Request handling (the loop thread)                                  *)
 (* ------------------------------------------------------------------ *)
@@ -344,14 +296,12 @@ let handle_request t conn request =
   let request_hist =
     match request with
     | Wire.Ping -> m.m_req_ping
-    | Wire.Stats -> m.m_req_stats
     | Wire.Metrics -> m.m_req_metrics
     | Wire.Submit _ -> m.m_req_submit
   in
   let t0 = Noc_obs.Clock.now_ns () in
   (match request with
   | Wire.Ping -> send conn Wire.Pong
-  | Wire.Stats -> send conn (Wire.Stats_report (stats_report t))
   | Wire.Metrics -> send conn (metrics_report t)
   | Wire.Submit { id; corr; job } -> handle_submit t conn ~id ?corr job);
   Noc_obs.Metrics.observe request_hist

@@ -55,13 +55,6 @@ val stop : t -> unit
 
 val stopping : t -> bool
 
-val stats_report : t -> string
-(** The legacy text report served for {!Wire.Stats}: serve gauges
-    (uptime, queue depth, in-flight, draining), store counters and hit
-    rate, then every instrument in the {!Noc_obs.Metrics} registry
-    (histograms as cumulative buckets).  Deprecated in favour of
-    {!metrics_report}; kept one release. *)
-
 val typed_stats : t -> Wire.stats
 (** The typed statistics record behind {!Wire.Metrics}. *)
 

@@ -10,8 +10,6 @@
     [request_of_json (request_to_json r) = Ok r], likewise for
     responses. *)
 
-module Json = Noc_json.Json
-
 val protocol : string
 (** ["noc-wire/1"], announced by the server's {!Hello} greeting. *)
 
@@ -26,7 +24,6 @@ type request =
           its job span and telemetry events, so one request is
           traceable across client log, wire, daemon telemetry, and
           trace stream.  Absent from pre-PR-8 clients. *)
-  | Stats  (** Ask for the legacy text metrics report (deprecated). *)
   | Metrics
       (** Ask for the typed {!metrics_report}: stats record, metrics
           snapshot, series window, SLO verdicts. *)
@@ -71,7 +68,6 @@ type response =
           is draining. *)
   | Overloaded of { id : int; queue_depth : int }
       (** Backpressure: the bounded queue is full; resubmit later. *)
-  | Stats_report of string
   | Metrics_report of metrics_report
   | Pong
   | Error_msg of string  (** Protocol-level failure (unparsable frame…). *)

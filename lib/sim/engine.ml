@@ -29,22 +29,39 @@ type outcome =
   | Deadlocked of deadlock_info
   | Timed_out of Stats.t
 
-(* A flit sitting in a channel FIFO; [arrived] forbids moving twice in
-   one cycle (one hop per cycle). *)
-type buffered = { flit : Packet.flit; mutable arrived : int }
+type workload = {
+  id : int;
+  flow : Ids.Flow.t;
+  src : Ids.Switch.t;
+  dst : Ids.Switch.t;
+  length : int;
+  inject_at : int;
+}
+
+let workload_of_flows net ~packet_length ~packets_per_flow =
+  let next = ref 0 in
+  List.concat_map
+    (fun (f : Traffic.flow) ->
+      let src, dst = Network.endpoints net f.Traffic.id in
+      if Ids.Switch.equal src dst then []
+      else
+        List.init packets_per_flow (fun _ ->
+            let id = !next in
+            incr next;
+            { id; flow = f.Traffic.id; src; dst; length = packet_length; inject_at = 0 }))
+    (Traffic.flows (Network.traffic net))
 
 (* Observability: one span around the whole run, one span per batch of
    [span_cycle_batch] cycles (per-cycle spans would swamp the trace),
-   and process totals for injected/delivered flits.  Counters are lazy
-   so merely linking the simulator never adds sim rows to unrelated
-   metric snapshots. *)
+   and process totals for injected/delivered flits.  The counters are
+   registered (get-or-create, mutex-guarded) when a run concludes, so
+   merely linking the simulator never adds sim rows to unrelated metric
+   snapshots and concurrent runs on several domains are safe. *)
 let span_cycle_batch = 1024
-let flits_injected_total = lazy (Noc_obs.Metrics.counter "noc_sim_flits_injected_total")
-let flits_delivered_total = lazy (Noc_obs.Metrics.counter "noc_sim_flits_delivered_total")
-let deadlocks_total = lazy (Noc_obs.Metrics.counter "noc_sim_deadlocks_total")
 
 type chan_state = {
   channel : Channel.t;
+  head_switch : Ids.Switch.t;  (* downstream endpoint of the link *)
   capacity : int;
   queue : buffered Queue.t;
   mutable owner : int option;  (* packet id holding the channel *)
@@ -52,31 +69,23 @@ type chan_state = {
   mutable arrivals : int;  (* total flits accepted, for utilization *)
 }
 
-(* Per-flow injection port: packets leave in order; [sent] counts the
-   flits of the front packet already pushed into the network. *)
-type source = { mutable pending : Packet.t list; mutable sent : int }
+(* A packet in flight.  [path.(0 .. hops - 1)] are the channels its
+   head has carved; the path is [complete] once it reaches [w.dst].  A
+   static packet starts with its whole route carved and complete, so
+   only adaptive heads ever consult the routing function. *)
+and pkt = {
+  w : workload;
+  mutable path : chan_state array;
+  mutable hops : int;
+  mutable complete : bool;
+  mutable sent : int;  (* flits injected so far *)
+}
 
-let route_index (p : Packet.t) c =
-  let n = Array.length p.Packet.route in
-  let rec go i =
-    if i >= n then invalid_arg "Engine: flit in a channel not on its route"
-    else if Channel.equal p.Packet.route.(i) c then i
-    else go (i + 1)
-  in
-  go 0
+(* A flit sitting in a channel FIFO at position [hop] of its packet's
+   path; [arrived] forbids moving twice in one cycle. *)
+and buffered = { pkt : pkt; index : int; hop : int; arrived : int }
 
-let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
-    packets =
-  let total_flits =
-    List.fold_left (fun acc (p : Packet.t) -> acc + p.Packet.length) 0 packets
-  in
-  Noc_obs.Trace.with_span "sim.run"
-    ~attrs:
-      [
-        ("packets", Noc_obs.Trace.Int (List.length packets));
-        ("flits", Noc_obs.Trace.Int total_flits);
-      ]
-  @@ fun run_span ->
+let channel_states config net ~unknown =
   let topo = Network.topology net in
   let states = Channel.Table.create 256 in
   List.iter
@@ -84,6 +93,7 @@ let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
       Channel.Table.replace states c
         {
           channel = c;
+          head_switch = (Topology.link topo (Channel.link c)).Topology.dst;
           capacity = config.buffer_depth;
           queue = Queue.create ();
           owner = None;
@@ -94,53 +104,67 @@ let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
   let state c =
     match Channel.Table.find_opt states c with
     | Some s -> s
-    | None ->
-        invalid_arg
-          (Format.asprintf "Engine.run: packet uses unknown channel %a" Channel.pp c)
+    | None -> invalid_arg (Format.asprintf "%s %a" unknown Channel.pp c)
   in
-  (* Validate all packet routes up front. *)
-  List.iter
-    (fun (p : Packet.t) -> Array.iter (fun c -> ignore (state c)) p.Packet.route)
-    packets;
-  let channel_order =
-    List.map state (List.sort Channel.compare (Topology.channels topo))
-  in
+  (state, List.map state (List.sort Channel.compare (Topology.channels topo)))
+
+let append p cs =
+  if p.hops = Array.length p.path then begin
+    let grown = Array.make (max 8 (2 * p.hops)) cs in
+    Array.blit p.path 0 grown 0 p.hops;
+    p.path <- grown
+  end;
+  p.path.(p.hops) <- cs;
+  p.hops <- p.hops + 1;
+  if Ids.Switch.equal cs.head_switch p.w.dst then p.complete <- true
+
+let on_path p cs =
+  let rec go i = i < p.hops && (p.path.(i) == cs || go (i + 1)) in
+  go 0
+
+(* The one arbitration loop.  [options ~at ~dst] are the candidate
+   channels of an adaptive head at the end of an incomplete path. *)
+let simulate config on_event ~state ~channel_order ~options pkts =
+  let total_flits = List.fold_left (fun acc p -> acc + p.w.length) 0 pkts in
+  Noc_obs.Trace.with_span "sim.run"
+    ~attrs:
+      [
+        ("packets", Noc_obs.Trace.Int (List.length pkts));
+        ("flits", Noc_obs.Trace.Int total_flits);
+      ]
+  @@ fun run_span ->
   (* Sources keyed by flow id, packets in (inject_at, id) order. *)
   let by_flow = Hashtbl.create 64 in
   List.iter
-    (fun (p : Packet.t) ->
-      let k = Ids.Flow.to_int p.Packet.flow in
+    (fun p ->
+      let k = Ids.Flow.to_int p.w.flow in
       Hashtbl.replace by_flow k
         (p :: Option.value ~default:[] (Hashtbl.find_opt by_flow k)))
-    packets;
+    pkts;
   let sources =
     Hashtbl.fold
       (fun k ps acc ->
         let sorted =
           List.sort
-            (fun (a : Packet.t) b ->
-              match compare a.Packet.inject_at b.Packet.inject_at with
-              | 0 -> compare a.Packet.id b.Packet.id
+            (fun a b ->
+              match compare a.w.inject_at b.w.inject_at with
+              | 0 -> compare a.w.id b.w.id
               | c -> c)
             ps
         in
-        (k, { pending = sorted; sent = 0 }) :: acc)
+        (k, ref sorted) :: acc)
       by_flow []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> List.map snd
   in
-  let n_packets = List.length packets in
+  let n_packets = List.length pkts in
   let flits_moved = ref 0 in
   let injected_flits = ref 0 in
   let ejected_flits = ref 0 in
   let acc = Stats.Accumulator.create () in
-  let record_delivery (p : Packet.t) cycle =
-    Stats.Accumulator.record acc ~flow:p.Packet.flow
-      ~latency:(cycle - p.Packet.inject_at)
-  in
   let delivered () = Stats.Accumulator.delivered acc in
   let network_flits () =
-    Channel.Table.fold (fun _ cs acc -> acc + Queue.length cs.queue) states 0
+    List.fold_left (fun n cs -> n + Queue.length cs.queue) 0 channel_order
   in
   let stats cycle =
     let channel_moves =
@@ -173,6 +197,45 @@ let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
       split 0 [] channel_order
     end
   in
+  let may_enter p ~index cs =
+    (match cs.owner with Some o -> o = p.w.id | None -> index = 0)
+    && (not cs.accepted)
+    && Queue.length cs.queue < cs.capacity
+  in
+  (* The channel flit [index], now at position [hop] of its path
+     ([-1] at the source), may enter this cycle.  A carved path is
+     followed; a head at the end of an incomplete one takes the first
+     candidate that is free, has space, and is not already on its
+     path. *)
+  let next_channel p ~hop ~index ~at =
+    if hop + 1 < p.hops then
+      let cs = p.path.(hop + 1) in
+      if may_enter p ~index cs then Some cs else None
+    else if index = 0 then
+      List.find_map
+        (fun c ->
+          let cs = state c in
+          if may_enter p ~index cs && not (on_path p cs) then Some cs else None)
+        (options ~at ~dst:p.w.dst)
+    else None
+  in
+  (* Flit [index] enters [cs] at path position [hop]. *)
+  let enter p ~index ~hop cs cycle =
+    if cs.owner = None then begin
+      cs.owner <- Some p.w.id;
+      on_event (Trace.Acquire { cycle; packet = p.w.id; channel = cs.channel })
+    end;
+    if hop = p.hops then append p cs;
+    cs.accepted <- true;
+    cs.arrivals <- cs.arrivals + 1;
+    Queue.push { pkt = p; index; hop; arrived = cycle } cs.queue;
+    on_event (Trace.Hop { cycle; packet = p.w.id; flit = index; channel = cs.channel });
+    incr flits_moved
+  in
+  let release p cs cycle =
+    cs.owner <- None;
+    on_event (Trace.Release { cycle; packet = p.w.id; channel = cs.channel })
+  in
   (* One simulation cycle; returns true when anything moved. *)
   let step cycle =
     let moved = ref false in
@@ -182,136 +245,86 @@ let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
       match Queue.peek_opt cs.queue with
       | None -> ()
       | Some b when b.arrived + config.router_latency > cycle -> ()
-      | Some b ->
-          let p = b.flit.Packet.packet in
-          let i = route_index p cs.channel in
-          if i = Array.length p.Packet.route - 1 then begin
+      | Some { pkt = p; index; hop; _ } ->
+          let is_tail = index = p.w.length - 1 in
+          if hop = p.hops - 1 && p.complete then begin
             (* Ejection into the destination NI: always drains. *)
             ignore (Queue.pop cs.queue);
             incr flits_moved;
             incr ejected_flits;
             moved := true;
-            if Packet.is_tail b.flit then begin
-              cs.owner <- None;
-              on_event
-                (Trace.Release { cycle; packet = p.Packet.id; channel = cs.channel });
-              record_delivery p cycle;
-              on_event (Trace.Deliver { cycle; packet = p.Packet.id })
+            if is_tail then begin
+              release p cs cycle;
+              Stats.Accumulator.record acc ~flow:p.w.flow
+                ~latency:(cycle - p.w.inject_at);
+              on_event (Trace.Deliver { cycle; packet = p.w.id })
             end
           end
-          else begin
-            let cs' = state p.Packet.route.(i + 1) in
-            let was_free = cs'.owner = None in
-            let may_own =
-              match cs'.owner with
-              | Some o -> o = p.Packet.id
-              | None -> Packet.is_head b.flit
-            in
-            if may_own && (not cs'.accepted) && Queue.length cs'.queue < cs'.capacity
-            then begin
-              ignore (Queue.pop cs.queue);
-              cs'.owner <- Some p.Packet.id;
-              if was_free then
-                on_event
-                  (Trace.Acquire
-                     { cycle; packet = p.Packet.id; channel = cs'.channel });
-              cs'.accepted <- true;
-              cs'.arrivals <- cs'.arrivals + 1;
-              Queue.push { flit = b.flit; arrived = cycle } cs'.queue;
-              on_event
-                (Trace.Hop
-                   {
-                     cycle;
-                     packet = p.Packet.id;
-                     flit = b.flit.Packet.index;
-                     channel = cs'.channel;
-                   });
-              if Packet.is_tail b.flit then begin
-                cs.owner <- None;
-                on_event
-                  (Trace.Release
-                     { cycle; packet = p.Packet.id; channel = cs.channel })
-              end;
-              incr flits_moved;
-              moved := true
-            end
-          end
+          else
+            match next_channel p ~hop ~index ~at:cs.head_switch with
+            | None -> ()
+            | Some cs' ->
+                ignore (Queue.pop cs.queue);
+                enter p ~index ~hop:(hop + 1) cs' cycle;
+                if is_tail then release p cs cycle;
+                moved := true
     in
     List.iter forward (service_order cycle);
     (* Injection, one flit per flow per cycle. *)
     let inject src =
-      match src.pending with
-      | [] -> ()
-      | p :: rest ->
-          if p.Packet.inject_at <= cycle then begin
-            let cs' = state p.Packet.route.(0) in
-            let flit = { Packet.packet = p; index = src.sent } in
-            let was_free = cs'.owner = None in
-            let may_own =
-              match cs'.owner with
-              | Some o -> o = p.Packet.id
-              | None -> Packet.is_head flit
-            in
-            if may_own && (not cs'.accepted) && Queue.length cs'.queue < cs'.capacity
-            then begin
-              cs'.owner <- Some p.Packet.id;
-              if Packet.is_head flit then
-                on_event (Trace.Inject { cycle; packet = p.Packet.id });
-              if was_free then
-                on_event
-                  (Trace.Acquire
-                     { cycle; packet = p.Packet.id; channel = cs'.channel });
-              cs'.accepted <- true;
-              cs'.arrivals <- cs'.arrivals + 1;
-              Queue.push { flit; arrived = cycle } cs'.queue;
-              on_event
-                (Trace.Hop
-                   {
-                     cycle;
-                     packet = p.Packet.id;
-                     flit = flit.Packet.index;
-                     channel = cs'.channel;
-                   });
-              src.sent <- src.sent + 1;
-              incr flits_moved;
+      match !src with
+      | p :: rest when p.w.inject_at <= cycle -> (
+          let index = p.sent in
+          match next_channel p ~hop:(-1) ~index ~at:p.w.src with
+          | None -> ()
+          | Some cs' ->
+              if index = 0 then on_event (Trace.Inject { cycle; packet = p.w.id });
+              enter p ~index ~hop:0 cs' cycle;
+              p.sent <- index + 1;
               incr injected_flits;
               moved := true;
-              if src.sent = p.Packet.length then begin
-                src.pending <- rest;
-                src.sent <- 0
-              end
-            end
-          end
+              if p.sent = p.w.length then src := rest)
+      | _ :: _ | [] -> ()
     in
     List.iter inject sources;
     !moved
   in
-  (* Waits-for edges at stall time, for the deadlock certificate. *)
+  (* Waits-for edges at stall time, for the deadlock certificate: a
+     blocked flit waits on the owner of every channel it could take
+     next — one for a carved path, each candidate for an adaptive
+     head. *)
   let waits_for cycle =
     let edges = ref [] in
     let blocked = ref [] in
-    let consider_waiter pid next_cs =
+    let consider p ~hop ~index ~at =
+      let pid = p.w.id in
       blocked := pid :: !blocked;
-      match next_cs.owner with
-      | Some q when q <> pid ->
-          edges := { Deadlock_detect.waiter = pid; holder = q } :: !edges
-      | Some _ | None -> ()
+      let wanted =
+        if hop + 1 < p.hops then [ p.path.(hop + 1) ]
+        else if index = 0 then List.map state (options ~at ~dst:p.w.dst)
+        else []
+      in
+      List.iter
+        (fun cs ->
+          match cs.owner with
+          | Some q when q <> pid ->
+              edges := { Deadlock_detect.waiter = pid; holder = q } :: !edges
+          | Some _ | None -> ())
+        wanted
     in
     List.iter
       (fun cs ->
         match Queue.peek_opt cs.queue with
-        | None -> ()
-        | Some b ->
-            let p = b.flit.Packet.packet in
-            let i = route_index p cs.channel in
-            if i < Array.length p.Packet.route - 1 then
-              consider_waiter p.Packet.id (state p.Packet.route.(i + 1)))
+        | Some { pkt = p; index; hop; _ } when not (hop = p.hops - 1 && p.complete)
+          ->
+            consider p ~hop ~index ~at:cs.head_switch
+        | Some _ | None -> ())
       channel_order;
     List.iter
       (fun src ->
-        match src.pending with
-        | p :: _ when p.Packet.inject_at <= cycle ->
-            consider_waiter p.Packet.id (state p.Packet.route.(0))
+        match !src with
+        | p :: _ when p.w.inject_at <= cycle ->
+            consider p ~hop:(-1) ~index:p.sent ~at:p.w.src
         | _ :: _ | [] -> ())
       sources;
     (List.rev !edges, List.sort_uniq compare !blocked)
@@ -330,14 +343,18 @@ let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
   in
   let conclude outcome =
     Noc_obs.Trace.finish !batch_span;
-    Noc_obs.Metrics.add (Lazy.force flits_injected_total) !injected_flits;
-    Noc_obs.Metrics.add (Lazy.force flits_delivered_total) !ejected_flits;
+    Noc_obs.Metrics.add
+      (Noc_obs.Metrics.counter "noc_sim_flits_injected_total")
+      !injected_flits;
+    Noc_obs.Metrics.add
+      (Noc_obs.Metrics.counter "noc_sim_flits_delivered_total")
+      !ejected_flits;
     let name, cycles =
       match outcome with
       | Completed s -> ("completed", s.Stats.cycles)
       | Timed_out s -> ("timed-out", s.Stats.cycles)
       | Deadlocked d ->
-          Noc_obs.Metrics.incr (Lazy.force deadlocks_total);
+          Noc_obs.Metrics.incr (Noc_obs.Metrics.counter "noc_sim_deadlocks_total");
           ("deadlocked", d.cycle)
     in
     Noc_obs.Trace.add_attr run_span "outcome" (Noc_obs.Trace.Str name);
@@ -356,9 +373,7 @@ let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
       let eligible_source =
         List.exists
           (fun src ->
-            match src.pending with
-            | p :: _ -> p.Packet.inject_at <= cycle
-            | [] -> false)
+            match !src with p :: _ -> p.w.inject_at <= cycle | [] -> false)
           sources
       in
       let alive = in_net > 0 || eligible_source in
@@ -381,6 +396,48 @@ let run ?(config = default_config) ?(on_event = fun (_ : Trace.event) -> ()) net
     end
   in
   loop 0 0
+
+let no_event (_ : Trace.event) = ()
+
+let run ?(config = default_config) ?(on_event = no_event) net packets =
+  let state, channel_order =
+    channel_states config net ~unknown:"Engine.run: packet uses unknown channel"
+  in
+  let topo = Network.topology net in
+  let pkts =
+    List.map
+      (fun (p : Packet.t) ->
+        let path = Array.map state p.Packet.route in
+        let src = (Topology.link topo (Channel.link p.Packet.route.(0))).Topology.src in
+        let w =
+          {
+            id = p.Packet.id;
+            flow = p.Packet.flow;
+            src;
+            dst = path.(Array.length path - 1).head_switch;
+            length = p.Packet.length;
+            inject_at = p.Packet.inject_at;
+          }
+        in
+        { w; path; hops = Array.length path; complete = true; sent = 0 })
+      packets
+  in
+  (* Static paths arrive complete: no head ever asks for options. *)
+  simulate config on_event ~state ~channel_order
+    ~options:(fun ~at:_ ~dst:_ -> [])
+    pkts
+
+let run_adaptive ?(config = default_config) ?(on_event = no_event) net rf
+    workloads =
+  let state, channel_order =
+    channel_states config net
+      ~unknown:"Engine.run_adaptive: routing function offered unknown channel"
+  in
+  simulate config on_event ~state ~channel_order
+    ~options:(Routing_function.options rf)
+    (List.map
+       (fun w -> { w; path = [||]; hops = 0; complete = false; sent = 0 })
+       workloads)
 
 let pp_outcome ppf = function
   | Completed s -> Format.fprintf ppf "completed: %a" Stats.pp s

@@ -8,6 +8,12 @@
     flit per flow is injected per cycle; arbitration is deterministic
     (channel id, then flow id), so runs are exactly reproducible.
 
+    Two routing modes share one arbitration loop.  {!run} takes
+    packets with fixed routes; {!run_adaptive} lets each head consult
+    a {!Noc_model.Routing_function.t} at every switch and take the
+    first candidate channel that is free and has space (the function's
+    own channel order); the body follows the path the head carved.
+
     The simulator never tries to work around a deadlock: if packets
     stop moving while flits remain in flight, it reports the deadlock
     together with a waits-for cycle certificate.  That is the
@@ -41,7 +47,13 @@ type deadlock_info = {
   blocked_packets : int list;  (** Every packet waiting on a channel. *)
   waits_for_cycle : int list option;
       (** A cyclic chain of packet ids, when one exists: the formal
-          deadlock certificate. *)
+          deadlock certificate.  A blocked flit waits on the owner of
+          every channel it could take next.  Under {!run_adaptive} a
+          head waits on {e all} its candidates at once and proceeds
+          when any frees up (OR-waiting), so a waits-for cycle is no
+          longer a sufficient deadlock witness: the stall watchdog (no
+          flit moved for [stall_threshold] cycles) is the ground truth
+          and this cycle is diagnostic, not a proof. *)
 }
 
 type outcome =
@@ -64,5 +76,41 @@ val run :
     metrics.
     @raise Invalid_argument when a packet references an unknown
     channel. *)
+
+(** {1 Adaptive routing} *)
+
+type workload = {
+  id : int;
+  flow : Ids.Flow.t;
+  src : Ids.Switch.t;
+  dst : Ids.Switch.t;
+  length : int;  (** Flits. *)
+  inject_at : int;
+}
+
+val workload_of_flows :
+  Network.t -> packet_length:int -> packets_per_flow:int -> workload list
+(** Burst workload straight from the network's flow endpoints (no
+    static routes needed); same-switch flows are skipped. *)
+
+val run_adaptive :
+  ?config:config ->
+  ?on_event:(Trace.event -> unit) ->
+  Network.t ->
+  Routing_function.t ->
+  workload list ->
+  outcome
+(** Simulates the workload under the routing function, with the same
+    loop, spans, metrics and event stream as {!run}.  This is the
+    runtime companion of {!Noc_deadlock.Duato}: a function that passes
+    Duato's check (e.g. fully adaptive VC 1 with an XY escape lane on
+    VC 0) completes any workload here, while an unprotected adaptive
+    function on a cyclic topology can be driven into a standing stall,
+    reported as [Deadlocked] (see [waits_for_cycle] for why its cycle
+    is only diagnostic).  {!Trace.check_route_order} does not apply
+    (paths are carved at runtime), but ownership and balance
+    invariants do.
+    @raise Invalid_argument when the function offers a channel that
+    does not exist. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

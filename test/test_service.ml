@@ -1,3 +1,4 @@
+open Noc_json
 open Noc_service
 
 let check = Alcotest.check
@@ -635,8 +636,7 @@ let request_gen =
         in
         let* job = job_gen in
         return (Wire.Submit { id; corr; job }) );
-      (1, return Wire.Stats);
-      (1, return Wire.Metrics);
+      (2, return Wire.Metrics);
       (1, return Wire.Ping);
     ]
 
@@ -663,11 +663,7 @@ let response_gen =
         let* id = int_bound 10_000 in
         let* queue_depth = int_bound 256 in
         return (Wire.Overloaded { id; queue_depth }) );
-      ( 1,
-        map
-          (fun s -> Wire.Stats_report s)
-          (string_size ~gen:printable (int_bound 200)) );
-      ( 1,
+      ( 2,
         let* uptime_s = map float_of_int (int_bound 100_000) in
         let* draining = bool in
         let* queue_depth = int_bound 256 in

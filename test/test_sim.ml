@@ -411,7 +411,7 @@ let test_engine_counts_deadlocks () =
   check int_c "deadlock counted" 1 (counter_value "noc_sim_deadlocks_total")
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive engine                                                     *)
+(* Adaptive routing                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let mesh_with_two_vcs columns rows =
@@ -431,70 +431,82 @@ let mesh_with_two_vcs columns rows =
 
 let test_adaptive_workload_generation () =
   let net, _, _ = one_link_net () in
-  let w = Adaptive_engine.workload_of_flows net ~packet_length:3 ~packets_per_flow:2 in
+  let w = Engine.workload_of_flows net ~packet_length:3 ~packets_per_flow:2 in
   check int_c "two packets" 2 (List.length w);
   check bool_c "right endpoints" true
     (List.for_all
-       (fun (x : Adaptive_engine.workload) ->
-         Ids.Switch.to_int x.Adaptive_engine.src = 0
-         && Ids.Switch.to_int x.Adaptive_engine.dst = 1
-         && x.Adaptive_engine.length = 3)
+       (fun (x : Engine.workload) ->
+         Ids.Switch.to_int x.Engine.src = 0
+         && Ids.Switch.to_int x.Engine.dst = 1
+         && x.Engine.length = 3)
        w)
 
 let test_adaptive_mesh_escape_completes () =
   let net = mesh_with_two_vcs 3 3 in
   let rf = Noc_synth.Mesh_routing.adaptive_with_xy_escape ~columns:3 ~rows:3 net in
-  let w = Adaptive_engine.workload_of_flows net ~packet_length:8 ~packets_per_flow:2 in
-  match Adaptive_engine.run net rf w with
-  | Adaptive_engine.Completed s ->
-      check int_c "all delivered" (List.length w) s.Stats.delivered
-  | Adaptive_engine.Stalled _ -> Alcotest.fail "escape-protected function stalled"
-  | Adaptive_engine.Timed_out _ -> Alcotest.fail "timed out"
+  let w = Engine.workload_of_flows net ~packet_length:8 ~packets_per_flow:2 in
+  match Engine.run_adaptive net rf w with
+  | Engine.Completed s ->
+      check int_c "all delivered" (List.length w) s.Stats.delivered;
+      (* Exact values, pinned so the engine stays bit-identical. *)
+      check int_c "cycles" 106 s.Stats.cycles;
+      check int_c "flits moved" 3456 s.Stats.flits_moved;
+      check (Alcotest.float 1e-9) "avg latency" (865. /. 18.) (Stats.avg_latency s)
+  | Engine.Deadlocked _ -> Alcotest.fail "escape-protected function stalled"
+  | Engine.Timed_out _ -> Alcotest.fail "timed out"
 
 let test_adaptive_xy_static_completes () =
   let net = mesh_with_two_vcs 3 3 in
   let rf = Noc_synth.Mesh_routing.xy_static ~columns:3 ~rows:3 net in
-  let w = Adaptive_engine.workload_of_flows net ~packet_length:6 ~packets_per_flow:1 in
-  match Adaptive_engine.run net rf w with
-  | Adaptive_engine.Completed s ->
-      check int_c "all delivered" (List.length w) s.Stats.delivered
-  | Adaptive_engine.Stalled _ | Adaptive_engine.Timed_out _ ->
+  let w = Engine.workload_of_flows net ~packet_length:6 ~packets_per_flow:1 in
+  match Engine.run_adaptive net rf w with
+  | Engine.Completed s ->
+      check int_c "all delivered" (List.length w) s.Stats.delivered;
+      check int_c "cycles" 70 s.Stats.cycles;
+      check int_c "flits moved" 1296 s.Stats.flits_moved
+  | Engine.Deadlocked _ | Engine.Timed_out _ ->
       Alcotest.fail "XY routing must complete"
 
 let test_adaptive_unprotected_ring_stalls () =
   let ring = Fixtures.paper_ring () in
   let net = ring.Fixtures.net in
   let rf = Noc_model.Routing_function.minimal_adaptive net in
-  let w = Adaptive_engine.workload_of_flows net ~packet_length:8 ~packets_per_flow:2 in
-  match Adaptive_engine.run net rf w with
-  | Adaptive_engine.Stalled d ->
-      check bool_c "flits stuck" true (d.Adaptive_engine.in_network_flits > 0);
-      check bool_c "blocked packets reported" true
-        (d.Adaptive_engine.blocked_packets <> [])
-  | Adaptive_engine.Completed _ -> Alcotest.fail "unprotected ring should stall"
-  | Adaptive_engine.Timed_out _ -> Alcotest.fail "should stall, not time out"
+  let w = Engine.workload_of_flows net ~packet_length:8 ~packets_per_flow:2 in
+  match Engine.run_adaptive net rf w with
+  | Engine.Deadlocked d ->
+      check int_c "stall cycle" 71 d.Engine.cycle;
+      check int_c "flits stuck" 16 d.Engine.in_network_flits;
+      check (Alcotest.list int_c) "blocked packets" [ 0; 1; 2; 4; 6 ]
+        d.Engine.blocked_packets;
+      (* One candidate per hop on a unidirectional ring, so no head is
+         OR-waiting and the waits-for cycle is a real certificate. *)
+      check (Alcotest.option (Alcotest.list int_c)) "waits-for cycle"
+        (Some [ 2; 4; 0 ])
+        d.Engine.waits_for_cycle
+  | Engine.Completed _ -> Alcotest.fail "unprotected ring should stall"
+  | Engine.Timed_out _ -> Alcotest.fail "should stall, not time out"
 
 let test_adaptive_deterministic () =
   let run_once () =
     let net = mesh_with_two_vcs 3 3 in
     let rf = Noc_synth.Mesh_routing.adaptive_with_xy_escape ~columns:3 ~rows:3 net in
-    let w = Adaptive_engine.workload_of_flows net ~packet_length:8 ~packets_per_flow:2 in
-    match Adaptive_engine.run net rf w with
-    | Adaptive_engine.Completed s -> (s.Stats.cycles, s.Stats.flits_moved)
-    | Adaptive_engine.Stalled _ | Adaptive_engine.Timed_out _ -> (-1, -1)
+    let w = Engine.workload_of_flows net ~packet_length:8 ~packets_per_flow:2 in
+    match Engine.run_adaptive net rf w with
+    | Engine.Completed s -> (s.Stats.cycles, s.Stats.flits_moved)
+    | Engine.Deadlocked _ | Engine.Timed_out _ -> (-1, -1)
   in
   check (Alcotest.pair int_c int_c) "bit identical" (run_once ()) (run_once ())
 
 let test_adaptive_trace_invariants () =
-  (* The adaptive engine's dynamic ownership must satisfy the same
-     wormhole invariants as the fixed-route engine. *)
+  (* Ownership carved at runtime must satisfy the same wormhole
+     invariants as fixed routes. *)
   let net = mesh_with_two_vcs 3 3 in
   let rf = Noc_synth.Mesh_routing.adaptive_with_xy_escape ~columns:3 ~rows:3 net in
-  let w = Adaptive_engine.workload_of_flows net ~packet_length:6 ~packets_per_flow:2 in
+  let w = Engine.workload_of_flows net ~packet_length:6 ~packets_per_flow:2 in
   let emit, dump = Trace.recorder () in
-  (match Adaptive_engine.run ~on_event:emit net rf w with
-  | Adaptive_engine.Completed _ -> ()
-  | Adaptive_engine.Stalled _ | Adaptive_engine.Timed_out _ ->
+  (match Engine.run_adaptive ~on_event:emit net rf w with
+  | Engine.Completed _ -> ()
+  | Engine.Deadlocked _ | Engine.Timed_out _ ->
       Alcotest.fail "expected completion");
   let events = dump () in
   check bool_c "events recorded" true (events <> []);
