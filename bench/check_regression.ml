@@ -1,5 +1,5 @@
 (* CI gate: diff a freshly measured bench report against the committed
-   baseline.  Handles both report kinds, dispatching on the baseline's
+   baseline.  Handles all three report kinds, dispatching on the baseline's
    schema tag: bench-removal/1 (incremental-removal sweep),
    bench-service/1 (batch-service throughput/determinism) and
    bench-sim/1 (simulation campaign: deadlock-freedom invariants are
@@ -40,43 +40,36 @@ let gate = function
       print_endline "bench regression gate: FAIL";
       exit 1
 
-let check_removal (baseline_path, baseline_text) (current_path, current_text) =
-  let baseline =
-    parse_or_die Bench_report.of_json "baseline" baseline_path baseline_text
-  in
-  let current =
-    parse_or_die Bench_report.of_json "current" current_path current_text
-  in
-  Format.printf "current report:@.%a@.@." Bench_report.pp current;
-  let d36 = List.filter (fun e -> e.Bench_report.benchmark = "D36_8") current in
-  if d36 <> [] then
+(* Every schema runs the same gate: parse both reports, print the
+   current one, then list its violations against the baseline. *)
+let check ?(summary = fun ~baseline:_ _ -> ()) of_json pp compare_to_baseline
+    (baseline_path, baseline_text) (current_path, current_text) =
+  let baseline = parse_or_die of_json "baseline" baseline_path baseline_text in
+  let current = parse_or_die of_json "current" current_path current_text in
+  Format.printf "current report:@.%a@.@." pp current;
+  summary ~baseline current;
+  gate (compare_to_baseline ~baseline current)
+
+let d36_aggregate ~baseline current =
+  let d36 = List.filter (fun e -> e.Bench_report.benchmark = "D36_8") in
+  if d36 current <> [] then
     Format.printf "aggregate D36_8 speedup: %.2fx (baseline %.2fx)@.@."
-      (Bench_report.aggregate_speedup d36)
-      (Bench_report.aggregate_speedup
-         (List.filter (fun e -> e.Bench_report.benchmark = "D36_8") baseline));
-  gate (Bench_report.compare_to_baseline ~baseline current)
+      (Bench_report.aggregate_speedup (d36 current))
+      (Bench_report.aggregate_speedup (d36 baseline))
 
-let check_service (baseline_path, baseline_text) (current_path, current_text) =
+let gates =
   let open Noc_service in
-  let baseline =
-    parse_or_die Service_report.of_json "baseline" baseline_path baseline_text
-  in
-  let current =
-    parse_or_die Service_report.of_json "current" current_path current_text
-  in
-  Format.printf "current report:@.%a@.@." Service_report.pp current;
-  gate (Service_report.compare_to_baseline ~baseline current)
-
-let check_sim (baseline_path, baseline_text) (current_path, current_text) =
   let open Noc_campaign in
-  let baseline =
-    parse_or_die Sim_report.of_json "baseline" baseline_path baseline_text
-  in
-  let current =
-    parse_or_die Sim_report.of_json "current" current_path current_text
-  in
-  Format.printf "current report:@.%a@.@." Sim_report.pp current;
-  gate (Sim_report.compare_to_baseline ~baseline current)
+  [
+    ( Bench_report.schema,
+      check ~summary:d36_aggregate Bench_report.of_json Bench_report.pp
+        Bench_report.compare_to_baseline );
+    ( Service_report.schema,
+      check Service_report.of_json Service_report.pp
+        Service_report.compare_to_baseline );
+    ( Sim_report.schema,
+      check Sim_report.of_json Sim_report.pp Sim_report.compare_to_baseline );
+  ]
 
 (* The baseline names the gate: a report pair must be of one kind. *)
 let schema_of text =
@@ -93,21 +86,18 @@ let () =
       let baseline_text = read_or_die "baseline" baseline_path in
       let current_text = read_or_die "current" current_path in
       match schema_of baseline_text with
-      | Some "bench-removal/1" ->
-          check_removal (baseline_path, baseline_text)
-            (current_path, current_text)
-      | Some "bench-service/1" ->
-          check_service (baseline_path, baseline_text)
-            (current_path, current_text)
-      | Some "bench-sim/1" ->
-          check_sim (baseline_path, baseline_text) (current_path, current_text)
-      | Some s ->
-          Printf.eprintf "error: %s: unsupported schema %S\n" baseline_path s;
-          exit 2
       | None ->
           Printf.eprintf "error: %s: cannot determine report schema\n"
             baseline_path;
-          exit 2)
+          exit 2
+      | Some s -> (
+          match List.assoc_opt s gates with
+          | Some check ->
+              check (baseline_path, baseline_text) (current_path, current_text)
+          | None ->
+              Printf.eprintf "error: %s: unsupported schema %S\n" baseline_path
+                s;
+              exit 2))
   | _ ->
       Printf.eprintf "usage: %s BASELINE.json CURRENT.json\n" Sys.argv.(0);
       exit 2

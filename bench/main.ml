@@ -339,6 +339,10 @@ let run_perf () =
 (* against the committed baseline in CI.                               *)
 (* ------------------------------------------------------------------ *)
 
+let write_report path text =
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+  Format.printf "@.wrote %s@." path
+
 let time_min_ms reps base f =
   (* Min over repetitions on pre-copied networks: the min is the run
      least disturbed by the collector and the scheduler, which is what
@@ -419,13 +423,7 @@ let run_removal_json () =
   Format.printf "@.aggregate D36_8 speedup: %.2fx@."
     (Bench_report.aggregate_speedup
        (List.filter (fun e -> e.Bench_report.benchmark = "D36_8") entries));
-  let out =
-    Option.value ~default:"BENCH_removal.json"
-      (Sys.getenv_opt "BENCH_REMOVAL_OUT")
-  in
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (Bench_report.to_json entries));
-  Format.printf "wrote %s@." out
+  write_report "BENCH_removal.json" (Bench_report.to_json entries)
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable batch-service benchmark (BENCH_service.json): the  *)
@@ -586,13 +584,7 @@ let run_service_json () =
   section "Batch service: throughput, determinism, warm replay";
   let report = service_report () in
   Format.printf "%a@." Noc_service.Service_report.pp report;
-  let out =
-    Option.value ~default:"BENCH_service.json"
-      (Sys.getenv_opt "BENCH_SERVICE_OUT")
-  in
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (Noc_service.Service_report.to_json report));
-  Format.printf "@.wrote %s@." out
+  write_report "BENCH_service.json" (Noc_service.Service_report.to_json report)
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable simulation benchmark (BENCH_sim.json): a small     *)
@@ -626,12 +618,7 @@ let run_sim_json () =
     failwith "sim bench: campaign invariants violated";
   let report = Sim_report.of_cells cells in
   Format.printf "%a@." Sim_report.pp report;
-  let out =
-    Option.value ~default:"BENCH_sim.json" (Sys.getenv_opt "BENCH_SIM_OUT")
-  in
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (Sim_report.to_json report));
-  Format.printf "@.wrote %s@." out
+  write_report "BENCH_sim.json" (Sim_report.to_json report)
 
 let all_sections =
   [

@@ -1346,9 +1346,8 @@ let submit_cmd =
     Term.(const run $ logs_term $ jobs_file_arg $ socket_arg $ corr_arg)
 
 (* Client-side rendering of the typed stats record — line-compatible
-   with the daemon's legacy text report, because the serve-smoke and
-   store-persistence CI jobs grep these exact shapes out of
-   serve-stats output. *)
+   with the daemon's legacy text report, because [make serve-smoke]
+   greps these exact shapes out of serve-stats output. *)
 let render_wire_stats b (s : Noc_service.Wire.stats) =
   let open Noc_service in
   Printf.bprintf b "serve_uptime_seconds %.3f\n" s.Wire.uptime_s;

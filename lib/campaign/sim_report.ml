@@ -193,8 +193,11 @@ let invariant_errors report =
     report.slo;
   List.rev !errors
 
-let compare_to_baseline ?(latency_tolerance = 0.25)
-    ?(throughput_tolerance = 0.25) ~baseline current =
+(* Relative drift allowed on [avg_latency] and [throughput]. *)
+let latency_tolerance = 0.25
+let throughput_tolerance = 0.25
+
+let compare_to_baseline ~baseline current =
   let errors = ref (invariant_errors current) in
   let err fmt = Printf.ksprintf (fun m -> errors := !errors @ [ m ]) fmt in
   let within tol base now =

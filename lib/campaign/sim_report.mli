@@ -53,17 +53,12 @@ val invariant_errors : t -> string list
 (** The baseline-independent deadlock-freedom checks, one message per
     violated cell.  Also included in {!compare_to_baseline}. *)
 
-val compare_to_baseline :
-  ?latency_tolerance:float ->
-  ?throughput_tolerance:float ->
-  baseline:t ->
-  t ->
-  string list
+val compare_to_baseline : baseline:t -> t -> string list
 (** Empty when the gate passes.  Baseline entries are matched by
     [job_hash]; an identical [result_hash] short-circuits the cell.
     Deadlock flags, delivery counts and added-VC counts must match
-    exactly; [avg_latency] and [throughput] may drift within the
-    relative tolerances (default [0.25] each).  A baseline cell missing
+    exactly; [avg_latency] and [throughput] may drift by up to 25 %
+    each, relative to the baseline.  A baseline cell missing
     from the current report is an error; new cells are allowed. *)
 
 val pp : Format.formatter -> t -> unit

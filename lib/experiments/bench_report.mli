@@ -1,5 +1,5 @@
 (** Machine-readable removal-benchmark reports (BENCH_removal.json) and
-    the baseline comparison behind the CI bench-regression gate.
+    the baseline comparison behind the CI bench gate ([make bench-gate]).
 
     A report is one entry per (benchmark, switch count) point of the
     removal sweep: the deterministic outputs ([iterations],
@@ -26,6 +26,9 @@ type entry = {
           compares it (it is timing, hence machine-dependent). *)
 }
 
+val schema : string
+(** ["bench-removal/1"]. *)
+
 val speedup : entry -> float
 (** [rebuild_ms / incremental_ms]; [0.] on degenerate timings. *)
 
@@ -39,26 +42,19 @@ val to_json : entry list -> string
 val of_json : string -> (entry list, string) result
 (** Inverse of {!to_json}; tolerates whitespace changes. *)
 
-val compare_to_baseline :
-  ?ratio_tolerance:float ->
-  ?min_aggregate_speedup:float ->
-  baseline:entry list ->
-  entry list ->
-  string list
+val compare_to_baseline : baseline:entry list -> entry list -> string list
 (** [compare_to_baseline ~baseline current] is the list of gate
     violations (empty = pass):
     - an entry of the baseline missing from [current];
     - [iterations] or [vcs_added] differing from the baseline — the
       algorithm is deterministic, so any drift is a real behaviour
       change;
-    - the per-entry speedup ratio dropping more than [ratio_tolerance]
-      (default [0.25]) below the baseline ratio, on entries large
-      enough to time stably (rebuild arm >= 2 ms in both reports —
-      smaller entries show ±30 % ratio noise and are covered by the
-      aggregate floor instead);
-    - the aggregate D36_8 speedup falling below
-      [min_aggregate_speedup] (default [4.], slack under the measured
-      ~5.3x for noisy CI hosts). *)
+    - the per-entry speedup ratio dropping more than 25 % below the
+      baseline ratio, on entries large enough to time stably (rebuild
+      arm >= 2 ms in both reports — smaller entries show ±30 % ratio
+      noise and are covered by the aggregate floor instead);
+    - the aggregate D36_8 speedup falling below [4.0]x (slack under the
+      measured ~5.3x for noisy CI hosts). *)
 
 val pp : Format.formatter -> entry list -> unit
 (** Human-readable table of a report. *)

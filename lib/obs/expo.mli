@@ -9,7 +9,7 @@
     typed wire path.
 
     {!check_text} is a strict parser for the emitted subset, shared by
-    the qcheck exposition property and the metrics-smoke jobs: a scrape
+    the qcheck exposition property and the [make top-smoke] gate: a scrape
     that fails it is a format bug, not a transport hiccup. *)
 
 val schema : string

@@ -127,11 +127,18 @@ let of_json text =
 (* Baseline comparison (the CI gate)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let default_speedup_floors = [ (2, 1.6); (4, 2.5) ]
+(* (domains, minimum speedup over the 1-domain arm). *)
+let speedup_floors = [ (2, 1.6); (4, 2.5) ]
 
-let compare_to_baseline ?(speedup_floors = default_speedup_floors)
-    ?(max_replay_fraction = 0.5) ?(max_collector_overhead = 0.03)
-    ?(collector_slack_ms = 5.) ~baseline current =
+(* Warm replay may cost at most this share of the cold 1-domain run. *)
+let max_replay_fraction = 0.5
+
+(* The series collector may cost at most this share of batch wall
+   time, unless the absolute cost stays within [collector_slack_ms]. *)
+let max_collector_overhead = 0.03
+let collector_slack_ms = 5.
+
+let compare_to_baseline ~baseline current =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   (* Result hashes are deterministic outputs: any drift from the

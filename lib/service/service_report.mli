@@ -46,28 +46,20 @@ val to_json : t -> string
 
 val of_json : string -> (t, string) result
 
-val compare_to_baseline :
-  ?speedup_floors:(int * float) list ->
-  ?max_replay_fraction:float ->
-  ?max_collector_overhead:float ->
-  ?collector_slack_ms:float ->
-  baseline:t ->
-  t ->
-  string list
+val compare_to_baseline : baseline:t -> t -> string list
 (** [compare_to_baseline ~baseline current] is the list of gate
     violations (empty = pass):
     - a baseline job missing from [current], or its [result_hash]
       differing — the pipeline is deterministic, so any drift is a real
       behaviour change;
     - [current]'s warm-replay hit rate below 1.0;
-    - warm replay costing more than [max_replay_fraction] (default
-      [0.5]) of the cold 1-domain wall time;
-    - for each [(domains, floor)] in [speedup_floors] (default
-      [[(2, 1.6); (4, 2.5)]]), the measured speedup falling below
-      [floor] — checked only when [current.host_cores >= domains];
-    - the series-collector overhead exceeding [max_collector_overhead]
-      (default [0.03]) {e and} more than [collector_slack_ms] (default
-      [5.]) in absolute terms — skipped when either collector arm is
+    - warm replay costing more than 50 % of the cold 1-domain wall
+      time;
+    - the measured 2-domain speedup falling below 1.6x, or the
+      4-domain one below 2.5x — each checked only when
+      [current.host_cores] is at least that domain count;
+    - the series-collector overhead exceeding 3 % {e and} more than
+      5 ms in absolute terms — skipped when either collector arm is
       absent or the host has a single core (a second domain then
       steals time by construction). *)
 

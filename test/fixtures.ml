@@ -10,6 +10,20 @@ let lk = Ids.Link.of_int
 let fl = Ids.Flow.of_int
 let ch ?(vc = 0) l = Channel.make (lk l) vc
 
+let contains ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  n = 0 || go 0
+
+(* A bench-gate case: [errors] must be exactly one violation that
+   names [needle]. *)
+let one_violation ~needle errors =
+  match errors with
+  | [ msg ] when contains ~needle msg -> ()
+  | _ ->
+      Alcotest.failf "want one violation naming %S, got [%s]" needle
+        (String.concat "; " errors)
+
 (* The paper numbers switches/links/flows from 1; we use 0-based ids,
    so the paper's L1 is our L0, F1 our F0, and so on. *)
 type ring = { net : Network.t; links : Ids.Link.t array; flows : Ids.Flow.t array }

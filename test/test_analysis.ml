@@ -24,10 +24,7 @@ let has_code c ds = List.mem c (codes ds)
 let check_code name expected ds =
   check bool_c (name ^ ": fires " ^ expected) true (has_code expected ds)
 
-let contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  n = 0 || go 0
+let contains = Fixtures.contains
 
 (* ------------------------------------------------------------------ *)
 (* The code table                                                      *)

@@ -9,10 +9,7 @@ let check = Alcotest.check
 let bool_c = Alcotest.bool
 let int_c = Alcotest.int
 
-let contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec scan i = i + n <= h && (String.sub haystack i n = needle || scan (i + 1)) in
-  n = 0 || scan 0
+let contains = Fixtures.contains
 
 let rec rm_rf path =
   if Sys.is_directory path then begin

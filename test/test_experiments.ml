@@ -382,6 +382,77 @@ let test_sim_check_ring_demo () =
   | Noc_sim.Engine.Deadlocked _ | Noc_sim.Engine.Timed_out _ ->
       Alcotest.fail "ring must complete after removal"
 
+(* ------------------------------------------------------------------ *)
+(* Bench_report: JSON and the removal regression gate                  *)
+(* ------------------------------------------------------------------ *)
+
+let removal_baseline () =
+  match Bench_report.of_json Baselines.removal with
+  | Ok entries -> entries
+  | Error msg -> Alcotest.fail msg
+
+(* Every gate case mutates a parsed copy of the committed baseline. *)
+let removal_gate mutate =
+  let baseline = removal_baseline () in
+  Bench_report.compare_to_baseline ~baseline (mutate baseline)
+
+let at name n f =
+  List.map (fun (e : Bench_report.entry) ->
+      if e.benchmark = name && e.n_switches = n then f e else e)
+
+let test_removal_json_roundtrip () =
+  let baseline = removal_baseline () in
+  check int_c "committed entries" 11 (List.length baseline);
+  check bool_c "no phases in the committed baseline" true
+    (List.for_all (fun (e : Bench_report.entry) -> e.phases = []) baseline);
+  let traced =
+    at "D36_8" 14
+      (fun e -> { e with phases = [ ("cdg.build", 0.25); ("removal.run", 1.5) ] })
+      baseline
+  in
+  check bool_c "to_json/of_json round-trip" true
+    (Bench_report.of_json (Bench_report.to_json traced) = Ok traced)
+
+let test_removal_gate_passes_on_baseline () =
+  check (Alcotest.list Alcotest.string) "no violations" [] (removal_gate Fun.id)
+
+let test_removal_gate_missing_entry () =
+  Fixtures.one_violation ~needle:"D26_media@26: entry missing"
+    (removal_gate
+       (List.filter (fun (e : Bench_report.entry) ->
+            not (e.benchmark = "D26_media" && e.n_switches = 26))))
+
+let test_removal_gate_iterations_drift () =
+  Fixtures.one_violation ~needle:"D36_8@14: iterations changed 3 -> 4"
+    (removal_gate (at "D36_8" 14 (fun e -> { e with iterations = 4 })))
+
+let test_removal_gate_vcs_drift () =
+  Fixtures.one_violation ~needle:"D36_8@14: vcs_added changed 3 -> 4"
+    (removal_gate (at "D36_8" 14 (fun e -> { e with vcs_added = 4 })))
+
+let test_removal_gate_speedup_regression () =
+  (* @35 times stably (rebuild >= 2 ms): 6.1x -> 4.1x is a 33% drop,
+     while the D36_8 aggregate stays above its floor. *)
+  Fixtures.one_violation ~needle:"D36_8@35: hot-path speedup regressed"
+    (removal_gate
+       (at "D36_8" 35 (fun e ->
+            { e with incremental_ms = e.incremental_ms *. 1.5 })));
+  (* The same drop on a sub-2 ms rebuild arm is noise, not a gate. *)
+  check (Alcotest.list Alcotest.string) "baseline rebuild arm under 2 ms" []
+    (removal_gate
+       (at "D36_8" 18 (fun e ->
+            { e with incremental_ms = e.incremental_ms *. 1.5 })));
+  check (Alcotest.list Alcotest.string) "current rebuild arm under 2 ms" []
+    (removal_gate (at "D36_8" 26 (fun e -> { e with rebuild_ms = 1.9 })))
+
+let test_removal_gate_aggregate_floor () =
+  (* @18's rebuild arm is too small for a per-entry check, so only the
+     aggregate floor catches a 10x slowdown there. *)
+  Fixtures.one_violation ~needle:"aggregate incremental speedup 2.83x below the 4.0x floor"
+    (removal_gate
+       (at "D36_8" 18 (fun e ->
+            { e with incremental_ms = e.incremental_ms *. 10. })))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -429,4 +500,14 @@ let () =
           tc "light load light latency" test_load_latency_low_load_is_light;
         ] );
       ("sim_check", [ tc "ring demo" test_sim_check_ring_demo ]);
+      ( "bench_report",
+        [
+          tc "json round-trip" test_removal_json_roundtrip;
+          tc "gate passes on baseline" test_removal_gate_passes_on_baseline;
+          tc "gate: missing entry" test_removal_gate_missing_entry;
+          tc "gate: iterations drift" test_removal_gate_iterations_drift;
+          tc "gate: vcs_added drift" test_removal_gate_vcs_drift;
+          tc "gate: speedup regression" test_removal_gate_speedup_regression;
+          tc "gate: aggregate floor" test_removal_gate_aggregate_floor;
+        ] );
     ]

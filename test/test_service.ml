@@ -958,6 +958,74 @@ let test_server_end_to_end_warm_restart () =
         cold warm)
 
 (* ------------------------------------------------------------------ *)
+(* Service_report: the batch-service regression gate                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every gate case mutates a parsed copy of the committed baseline: a
+   1-core report with only the 1-domain arm and no collector arms. *)
+let service_gate mutate =
+  match Service_report.of_json Baselines.service with
+  | Error msg -> Alcotest.fail msg
+  | Ok baseline -> Service_report.compare_to_baseline ~baseline (mutate baseline)
+
+let no_violations = check (Alcotest.list string_c) "no violations" []
+
+(* The baseline on an [n]-core host with the given (domains, speedup)
+   arms next to its 1-domain arm. *)
+let on_host n arms (r : Service_report.t) =
+  let cold = (List.hd r.timings).wall_ms in
+  let arm (domains, s) =
+    { Service_report.domains; wall_ms = cold /. s; jobs_per_s = 0. }
+  in
+  { r with host_cores = n; timings = List.hd r.timings :: List.map arm arms }
+
+let with_collector ~off ~on_ (r : Service_report.t) =
+  { r with collector_off_wall_ms = Some off; collector_on_wall_ms = Some on_ }
+
+let test_service_gate_passes_on_baseline () = no_violations (service_gate Fun.id)
+
+let test_service_gate_missing_job () =
+  Fixtures.one_violation ~needle:"removal D26_media@14: job missing"
+    (service_gate (fun r -> { r with jobs = List.tl r.jobs }))
+
+let test_service_gate_result_drift () =
+  Fixtures.one_violation ~needle:"removal D26_media@14: result hash changed"
+    (service_gate (fun r ->
+         let j = List.hd r.jobs in
+         { r with jobs = { j with result_hash = "0" } :: List.tl r.jobs }))
+
+let test_service_gate_replay () =
+  Fixtures.one_violation ~needle:"hit rate 0.900 below 1.0"
+    (service_gate (fun r -> { r with replay_hit_rate = 0.9 }));
+  Fixtures.one_violation ~needle:"over 50% of the"
+    (service_gate (fun r ->
+         { r with replay_wall_ms = 0.6 *. (List.hd r.timings).wall_ms }))
+
+let test_service_gate_no_sequential_timing () =
+  Fixtures.one_violation ~needle:"no 1-domain timing"
+    (service_gate (fun r -> { r with timings = [] }))
+
+let test_service_gate_collector_overhead () =
+  Fixtures.one_violation ~needle:"series collector costs 10.0%"
+    (service_gate (fun r ->
+         with_collector ~off:100. ~on_:110. (on_host 2 [ (2, 2.) ] r)));
+  (* On one core the collector domain steals time by construction. *)
+  no_violations (service_gate (with_collector ~off:100. ~on_:110.));
+  (* 8% over, but only 4 ms: scheduler noise on a short run. *)
+  no_violations
+    (service_gate (fun r -> with_collector ~off:50. ~on_:54. (on_host 2 [ (2, 2.) ] r)))
+
+let test_service_gate_speedup_floors () =
+  Fixtures.one_violation ~needle:"2-domain speedup 1.20x below the 1.6x floor"
+    (service_gate (on_host 2 [ (2, 1.2) ]));
+  Fixtures.one_violation ~needle:"no 2-domain timing" (service_gate (on_host 2 []));
+  Fixtures.one_violation ~needle:"4-domain speedup 2.00x below the 2.5x floor"
+    (service_gate (on_host 4 [ (2, 2.); (4, 2.) ]));
+  (* Floors are judged only when the host has the cores for the arm. *)
+  no_violations (service_gate (on_host 1 [ (2, 1.2) ]));
+  no_violations (service_gate (on_host 2 [ (2, 2.); (4, 1.) ]))
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -1046,5 +1114,21 @@ let () =
             test_telemetry_to_file_atomic;
           Alcotest.test_case "queue_depth and cache_evicted" `Quick
             test_telemetry_new_events;
+        ] );
+      ( "service_report",
+        [
+          Alcotest.test_case "gate passes on baseline" `Quick
+            test_service_gate_passes_on_baseline;
+          Alcotest.test_case "gate: missing job" `Quick
+            test_service_gate_missing_job;
+          Alcotest.test_case "gate: result hash drift" `Quick
+            test_service_gate_result_drift;
+          Alcotest.test_case "gate: warm replay" `Quick test_service_gate_replay;
+          Alcotest.test_case "gate: no 1-domain timing" `Quick
+            test_service_gate_no_sequential_timing;
+          Alcotest.test_case "gate: collector overhead" `Quick
+            test_service_gate_collector_overhead;
+          Alcotest.test_case "gate: speedup floors" `Quick
+            test_service_gate_speedup_floors;
         ] );
     ]
