@@ -1115,7 +1115,7 @@ let () =
           Alcotest.test_case "queue_depth and cache_evicted" `Quick
             test_telemetry_new_events;
         ] );
-      ( "service_report",
+      ( "svc_report",
         [
           Alcotest.test_case "gate passes on baseline" `Quick
             test_service_gate_passes_on_baseline;
