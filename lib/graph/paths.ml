@@ -1,15 +1,20 @@
 exception Negative_weight
 
-(* A simple pairing of (distance, vertex) in a sorted set works as the
-   priority queue; graphs in this project stay small (thousands of
-   vertices), so the O(log n) set operations are more than enough. *)
+(* A sorted set of (distance, vertex) pairs serves as the priority
+   queue.  Routing runs one search per flow, thousands per synthesized
+   design, so the comparison is monomorphic rather than the
+   polymorphic [compare]; it orders pairs exactly as [compare] does. *)
 module Pq = Set.Make (struct
   type t = float * int
 
-  let compare = compare
+  let compare ((d1, v1) : t) ((d2, v2) : t) =
+    match Float.compare d1 d2 with 0 -> Int.compare v1 v2 | c -> c
 end)
 
-let dijkstra g ~weight src =
+(* Dijkstra from [src], stopping once [stop] is popped ([-1]: never).
+   A popped vertex's distance and parent chain are final, since a
+   non-negative weight cannot lower a distance already popped. *)
+let search g ~weight ~stop src =
   let n = Digraph.n_vertices g in
   let dist = Array.make n infinity in
   let parent = Array.make n (-1) in
@@ -18,7 +23,8 @@ let dijkstra g ~weight src =
   while not (Pq.is_empty !pq) do
     let ((d, u) as top) = Pq.min_elt !pq in
     pq := Pq.remove top !pq;
-    if d <= dist.(u) then begin
+    if u = stop then pq := Pq.empty
+    else if d <= dist.(u) then begin
       let relax v =
         let w = weight u v in
         if w < 0. then raise Negative_weight;
@@ -34,8 +40,10 @@ let dijkstra g ~weight src =
   done;
   (dist, parent)
 
+let dijkstra g ~weight src = search g ~weight ~stop:(-1) src
+
 let shortest_path g ~weight src dst =
-  let dist, parent = dijkstra g ~weight src in
+  let dist, parent = search g ~weight ~stop:dst src in
   if dist.(dst) = infinity then None
   else begin
     let rec build v acc = if v = src then v :: acc else build parent.(v) (v :: acc) in

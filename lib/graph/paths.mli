@@ -18,7 +18,11 @@ val dijkstra :
 
 val shortest_path :
   Digraph.t -> weight:(int -> int -> float) -> int -> int -> int list option
-(** Minimum-weight path [[src; ...; dst]], or [None]. *)
+(** Minimum-weight path [[src; ...; dst]], or [None].  The same path
+    {!dijkstra}'s parent array gives, found by a search that stops as
+    soon as [dst] is settled.
+    @raise Negative_weight on a negative weight among the edges the
+    search relaxes before settling [dst]. *)
 
 val path_weight : weight:(int -> int -> float) -> int list -> float
 (** Total weight of a path given as a vertex list; [0.] on paths with

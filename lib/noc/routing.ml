@@ -1,34 +1,41 @@
 module Digraph = Noc_graph.Digraph
 module Paths = Noc_graph.Paths
 
-(* Best link per switch pair under the weight function: smallest weight,
-   then smallest link id for determinism. *)
-let best_links topo ~weight =
-  let best = Hashtbl.create 64 in
-  let consider (l : Topology.link) =
-    let key = (Ids.Switch.to_int l.Topology.src, Ids.Switch.to_int l.Topology.dst) in
-    let w = weight l in
-    match Hashtbl.find_opt best key with
-    | Some (w', l') when w' < w || (w' = w && Ids.Link.compare l'.Topology.id l.Topology.id < 0) ->
-        ()
-    | Some _ | None -> Hashtbl.replace best key (w, l)
-  in
-  List.iter consider (Topology.links topo);
-  best
+(* What routing reads of a topology, built once per pass: the switch
+   graph and every switch's outgoing links in id order.  Routing never
+   changes the topology, so both stay valid for every flow of a pass. *)
+type pass = { graph : Digraph.t; out_links : Topology.link list array }
 
-let route_between topo ~weight ~src ~dst =
+let prepare topo =
+  {
+    graph = Topology.switch_graph topo;
+    out_links =
+      Array.init (Topology.n_switches topo) (fun s ->
+          Topology.out_links topo (Ids.Switch.of_int s));
+  }
+
+(* Best link from switch [u] to switch [v] under the weight function:
+   smallest weight, then smallest link id for determinism.
+   [(infinity, None)] when no link of finite weight exists. *)
+let best_link p ~weight u v =
+  let rec scan w best = function
+    | [] -> (w, best)
+    | (l : Topology.link) :: rest ->
+        if Ids.Switch.to_int l.Topology.dst = v then
+          let w' = weight l in
+          if w' < w then scan w' (Some l) rest else scan w best rest
+        else scan w best rest
+  in
+  scan infinity None p.out_links.(u)
+
+let route_in p ~weight net flow =
+  let src, dst = Network.endpoints net flow in
   if Ids.Switch.equal src dst then Ok []
-  else begin
-    let best = best_links topo ~weight in
-    let g = Topology.switch_graph topo in
-    let edge_weight u v =
-      match Hashtbl.find_opt best (u, v) with
-      | Some (w, _) -> w
-      | None -> infinity
-    in
+  else
     match
-      Paths.shortest_path g ~weight:edge_weight (Ids.Switch.to_int src)
-        (Ids.Switch.to_int dst)
+      Paths.shortest_path p.graph
+        ~weight:(fun u v -> fst (best_link p ~weight u v))
+        (Ids.Switch.to_int src) (Ids.Switch.to_int dst)
     with
     | None ->
         Error
@@ -37,22 +44,23 @@ let route_between topo ~weight ~src ~dst =
     | Some vertices ->
         let rec channels = function
           | u :: (v :: _ as rest) ->
-              let _, l = Hashtbl.find best (u, v) in
+              let l = Option.get (snd (best_link p ~weight u v)) in
               Channel.make l.Topology.id 0 :: channels rest
           | [ _ ] | [] -> []
         in
         Ok (channels vertices)
-  end
 
-let route_flow ?(weight = fun (_ : Topology.link) -> 1.) net flow =
-  let src, dst = Network.endpoints net flow in
-  route_between (Network.topology net) ~weight ~src ~dst
+let hop (_ : Topology.link) = 1.
 
-let route_all ?weight net =
+let route_flow ?(weight = hop) net flow =
+  route_in (prepare (Network.topology net)) ~weight net flow
+
+let route_all ?(weight = hop) net =
+  let p = prepare (Network.topology net) in
   let rec go = function
     | [] -> Ok ()
     | (f : Traffic.flow) :: rest -> (
-        match route_flow ?weight net f.Traffic.id with
+        match route_in p ~weight net f.Traffic.id with
         | Ok r ->
             Network.set_route net f.Traffic.id r;
             go rest
@@ -76,11 +84,12 @@ let route_all_load_aware net =
   let link_load (l : Topology.link) =
     Option.value ~default:0. (Hashtbl.find_opt load (Ids.Link.to_int l.Topology.id))
   in
+  let p = prepare (Network.topology net) in
   let rec go = function
     | [] -> Ok ()
     | (f : Traffic.flow) :: rest -> (
         let weight l = 1. +. (link_load l /. total) in
-        match route_flow ~weight net f.Traffic.id with
+        match route_in p ~weight net f.Traffic.id with
         | Ok r ->
             Network.set_route net f.Traffic.id r;
             List.iter

@@ -12,10 +12,12 @@ val route_flow :
 
 val route_all :
   ?weight:(Topology.link -> float) -> Network.t -> (unit, string) result
-(** Routes every flow with {!route_flow} and installs the results.
-    Stops at the first unroutable flow. *)
+(** Routes every flow as {!route_flow} does and installs the results.
+    The switch graph is built once for the whole pass.  Stops at the
+    first unroutable flow. *)
 
 val route_all_load_aware : Network.t -> (unit, string) result
 (** Routes flows in decreasing bandwidth order; each flow's weight is
     [1 + load(link)/total_bandwidth], which spreads heavy flows over
-    distinct links.  Deterministic. *)
+    distinct links.  Deterministic; the switch graph is built once for
+    the whole pass. *)

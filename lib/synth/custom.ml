@@ -1,4 +1,5 @@
 open Noc_model
+module Trace = Noc_obs.Trace
 
 type mapper = Greedy_affinity | Min_cut
 
@@ -30,12 +31,28 @@ let demands traffic mapping n_switches =
     (Traffic.flows traffic);
   d
 
-let synthesize ?(options = default_options) traffic ~n_switches =
-  let mapping =
-    match options.mapper with
-    | Greedy_affinity -> Mapping.cluster traffic ~n_switches
-    | Min_cut -> Fm_partition.cluster traffic ~n_switches
-  in
+(* Transitive closure of the switch graph: [reach.(s).(t)] when a
+   directed path leads from [s] to [t]; every switch reaches itself. *)
+let reachability topo =
+  let g = Topology.switch_graph topo in
+  Array.init (Topology.n_switches topo) (fun s -> Noc_graph.Traversal.reachable g s)
+
+(* Keep [reach] closed after a link [a -> b]: whatever reaches [a] now
+   also reaches everything [b] reaches.  A row that reaches [a] before
+   the update still does after it, and [b]'s row changes only when [b]
+   reaches [a], by OR-ing in itself. *)
+let close_over_link reach a b =
+  let rb = reach.(b) in
+  Array.iter
+    (fun row ->
+      if row.(a) then
+        for t = 0 to Array.length rb - 1 do
+          if rb.(t) then row.(t) <- true
+        done)
+    reach
+
+(* The links for the demand [mapping] induces, in three passes. *)
+let links options traffic mapping ~n_switches =
   let topo = Topology.create ~n_switches in
   let demand = demands traffic mapping n_switches in
   let out_deg = Array.make n_switches 0 and in_deg = Array.make n_switches 0 in
@@ -65,23 +82,19 @@ let synthesize ?(options = default_options) traffic ~n_switches =
       if out_deg.(a) < options.max_out_degree && in_deg.(b) < options.max_in_degree
       then add_link a b)
     sorted;
-  (* Pass 2: routability.  Every demanded pair must have a directed
-     path; when it does not, route through the least-loaded relay with
-     spare degree, or add a direct link as last resort (technology
-     constraints bend before unroutable designs do, as in the paper's
-     discussion of [18]/[21]). *)
-  let reachable_matrix () =
-    let g = Topology.switch_graph topo in
-    Array.init n_switches (fun s -> Noc_graph.Traversal.reachable g s)
-  in
-  let needed =
-    List.filter (fun (_, a, b) -> a <> b) (List.map (fun (w, a, b) -> (w, a, b)) sorted)
-  in
-  let fix (_, a, b) =
-    let reach = reachable_matrix () in
-    if not reach.(a).(b) then add_link a b
-  in
-  List.iter fix needed;
+  (* Pass 2: routability.  Every demanded pair, in the same order, must
+     have a directed path; when it does not, a direct link is added as
+     last resort (technology constraints bend before unroutable designs
+     do, as in the paper's discussion of [18]/[21]).  The reachability
+     matrix is built once and kept closed link by link. *)
+  let reach = reachability topo in
+  List.iter
+    (fun (_, a, b) ->
+      if not reach.(a).(b) then begin
+        add_link a b;
+        close_over_link reach a b
+      end)
+    sorted;
   if options.force_bidirectional then begin
     (* Open the reverse direction wherever it is missing, ignoring the
        degree budget: this is the "make connections bidirectional"
@@ -98,17 +111,41 @@ let synthesize ?(options = default_options) traffic ~n_switches =
     in
     List.iter (fun (a, b) -> add_link a b) (List.sort_uniq compare missing)
   end;
+  topo
+
+let build options traffic ~n_switches =
+  let mapping =
+    Trace.with_span "synth.mapping" @@ fun _ ->
+    match options.mapper with
+    | Greedy_affinity -> Mapping.cluster traffic ~n_switches
+    | Min_cut -> Fm_partition.cluster traffic ~n_switches
+  in
+  let topo =
+    Trace.with_span "synth.links" @@ fun sp ->
+    let topo = links options traffic mapping ~n_switches in
+    Trace.add_attr sp "links" (Trace.Int (Topology.n_links topo));
+    topo
+  in
   let net =
     Network.make ~topology:topo ~traffic ~mapping:(fun c ->
         mapping.(Ids.Core.to_int c))
   in
+  Trace.with_span "synth.routing" @@ fun _ ->
   let routed =
     if options.load_aware_routing then Routing.route_all_load_aware net
     else Routing.route_all net
   in
-  match routed with
-  | Ok () -> Ok net
-  | Error e -> Error e
+  Result.map (fun () -> net) routed
+
+(* The clustering steps raise on a switch count outside [1, n_cores];
+   checking first keeps the result-only contract. *)
+let synthesize ?(options = default_options) traffic ~n_switches =
+  let n_cores = Traffic.n_cores traffic in
+  if n_switches <= 0 || n_switches > n_cores then
+    Error
+      (Printf.sprintf "n_switches must be between 1 and the core count %d (got %d)"
+         n_cores n_switches)
+  else build options traffic ~n_switches
 
 let synthesize_exn ?options traffic ~n_switches =
   match synthesize ?options traffic ~n_switches with

@@ -5,9 +5,17 @@
     (1) clusters cores onto switches ({!Mapping.cluster}),
     (2) creates directed links between switch pairs in decreasing order
     of inter-switch demand subject to a per-switch degree budget,
-    (3) guarantees that every flow is routable by adding a minimal set
-    of fallback links, and
+    (3) guarantees that every flow is routable by adding fallback
+    links greedily: demanded pairs are visited in decreasing demand
+    order and each one still without a directed path gets a direct
+    link (a greedy set, not a minimum one), and
     (4) computes deterministic min-hop, load-aware routes.
+
+    Step (3) builds the switch reachability matrix once, O(n (n + m))
+    for [n] switches and [m] links, and after each fallback link
+    [a -> b] ORs [b]'s row into every row that reaches [a], O(n^2)
+    per added link.  Routing builds the switch graph once per pass
+    and runs one early-stopping Dijkstra per flow.
 
     Resulting designs are irregular and application-specific, exactly
     the inputs the paper's deadlock-removal pass is aimed at; depending
@@ -37,9 +45,14 @@ val default_options : options
 
 val synthesize :
   ?options:options -> Traffic.t -> n_switches:int -> (Network.t, string) result
-(** Builds the full design (topology, mapping and routes).  Fails only
-    when the traffic cannot be realized at all (never happens for
-    connected demand sets; fallback links guarantee routability). *)
+(** Builds the full design (topology, mapping and routes).  Returns
+    [Error] when [n_switches] is not between 1 and the core count, or
+    when the traffic cannot be routed (never observed: fallback links
+    guarantee routability).  Never raises.
+
+    Emits the spans [synth.mapping], [synth.links] (attribute [links])
+    and [synth.routing], in that order, when a trace collector is
+    installed. *)
 
 val synthesize_exn : ?options:options -> Traffic.t -> n_switches:int -> Network.t
-(** @raise Failure on the (never observed) error case. *)
+(** @raise Failure on the error cases of {!synthesize}. *)

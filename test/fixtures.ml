@@ -24,6 +24,17 @@ let one_violation ~needle errors =
       Alcotest.failf "want one violation naming %S, got [%s]" needle
         (String.concat "; " errors)
 
+(* One domain's raw span events obey stack discipline: every end
+   closes the innermost open span, and none stays open. *)
+let spans_balanced entries =
+  let rec go stack = function
+    | [] -> stack = []
+    | Noc_obs.Trace.Begin { name; _ } :: rest -> go (name :: stack) rest
+    | Noc_obs.Trace.End { name; _ } :: rest -> (
+        match stack with top :: stack' -> top = name && go stack' rest | [] -> false)
+  in
+  go [] entries
+
 (* The paper numbers switches/links/flows from 1; we use 0-based ids,
    so the paper's L1 is our L0, F1 our F0, and so on. *)
 type ring = { net : Network.t; links : Ids.Link.t array; flows : Ids.Flow.t array }

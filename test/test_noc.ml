@@ -369,6 +369,23 @@ let test_routing_load_aware_spreads () =
   check bool_c "disjoint paths" true
     (List.for_all (fun l -> not (List.exists (Ids.Link.equal l) rb)) ra)
 
+let test_routing_parallel_links () =
+  (* Two parallel links 0 -> 1: equal weights go to the smaller link
+     id; under load-aware routing the second flow takes the idle one. *)
+  let topo = Topology.create ~n_switches:2 in
+  let l0 = Topology.add_link topo ~src:(sw 0) ~dst:(sw 1) in
+  let l1 = Topology.add_link topo ~src:(sw 0) ~dst:(sw 1) in
+  let traffic = Traffic.create ~n_cores:2 in
+  let fa = Traffic.add_flow traffic ~src:(core 0) ~dst:(core 1) ~bandwidth:100. in
+  let fb = Traffic.add_flow traffic ~src:(core 0) ~dst:(core 1) ~bandwidth:90. in
+  let net = Network.make ~topology:topo ~traffic ~mapping:(fun c -> sw (Ids.Core.to_int c)) in
+  let links f = List.map Ids.Link.to_int (Route.links (Network.route net f)) in
+  (match Routing.route_all net with Ok () -> () | Error e -> Alcotest.fail e);
+  check (Alcotest.list int_c) "tie: smaller id" [ Ids.Link.to_int l0 ] (links fb);
+  (match Routing.route_all_load_aware net with Ok () -> () | Error e -> Alcotest.fail e);
+  check (Alcotest.list int_c) "heavier flow first" [ Ids.Link.to_int l0 ] (links fa);
+  check (Alcotest.list int_c) "then the idle link" [ Ids.Link.to_int l1 ] (links fb)
+
 (* ------------------------------------------------------------------ *)
 (* Validate                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -932,6 +949,7 @@ let () =
           tc "unreachable" test_routing_unreachable;
           tc "same switch" test_routing_same_switch;
           tc "load aware spreads" test_routing_load_aware_spreads;
+          tc "parallel links" test_routing_parallel_links;
         ] );
       ( "validate",
         [

@@ -351,18 +351,7 @@ let prop_streams_well_parenthesized =
     arbitrary_prog (fun prog ->
       with_collector (fun c ->
           run_prog prog;
-          let balanced entries =
-            let rec go stack = function
-              | [] -> stack = []
-              | Trace.Begin { name; _ } :: rest -> go (name :: stack) rest
-              | Trace.End { name; _ } :: rest -> (
-                  match stack with
-                  | top :: stack' -> top = name && go stack' rest
-                  | [] -> false)
-            in
-            go [] entries
-          in
-          List.for_all (fun (_, entries) -> balanced entries) (Trace.events c)
+          List.for_all (fun (_, entries) -> Fixtures.spans_balanced entries) (Trace.events c)
           && List.length (Trace.completed_spans c) = prog_size prog))
 
 let prop_chrome_round_trips =

@@ -178,6 +178,56 @@ let test_synthesize_switch_count_sweep () =
       Fixtures.check_valid (Printf.sprintf "D26_media@%d" n) net)
     [ 5; 14; 26 ]
 
+let test_synthesize_switch_count_out_of_range () =
+  let traffic = pipeline_traffic 6 in
+  List.iter
+    (fun (mapper, n_switches) ->
+      let options = { Custom.default_options with Custom.mapper } in
+      match Custom.synthesize ~options traffic ~n_switches with
+      | Error e ->
+          check Alcotest.string "message"
+            (Printf.sprintf
+               "n_switches must be between 1 and the core count 6 (got %d)" n_switches)
+            e
+      | Ok _ -> Alcotest.failf "%d switches for 6 cores accepted" n_switches)
+    [ (Custom.Greedy_affinity, 0); (Custom.Greedy_affinity, -1);
+      (Custom.Greedy_affinity, 7); (Custom.Min_cut, 0); (Custom.Min_cut, 7) ]
+
+(* Minor words are deterministic.  Rebuilding reachability for every
+   demanded pair cost about 29M words here; building it once costs
+   under 2M. *)
+let test_synthesize_allocation_guard () =
+  let traffic = Noc_benchmarks.Synthetic.uniform ~n_cores:256 ~flows_per_core:3 ~seed:7 in
+  let w0 = Gc.minor_words () in
+  ignore (Custom.synthesize_exn traffic ~n_switches:64);
+  let words = Gc.minor_words () -. w0 in
+  if words >= 8e6 then
+    Alcotest.failf "synthesis at 256 cores / 64 switches allocated %.0f minor words (limit 8e6)"
+      words
+
+let test_synthesize_spans () =
+  let module Trace = Noc_obs.Trace in
+  let traffic = (media_spec ()).Noc_benchmarks.Spec.build () in
+  let c = Trace.create () in
+  Trace.install c;
+  Fun.protect ~finally:Trace.uninstall (fun () ->
+      ignore (Custom.synthesize_exn traffic ~n_switches:11));
+  check bool_c "balanced" true
+    (List.for_all (fun (_, es) -> Fixtures.spans_balanced es) (Trace.events c));
+  let synth =
+    List.filter_map
+      (fun (s : Trace.completed) ->
+        if String.starts_with ~prefix:"synth." s.Trace.name then
+          Some (s.Trace.name, s.Trace.depth)
+        else None)
+      (Trace.completed_spans c)
+  in
+  check
+    Alcotest.(list (pair string int))
+    "one span per step, in order"
+    [ ("synth.mapping", 0); ("synth.links", 0); ("synth.routing", 0) ]
+    synth
+
 (* ------------------------------------------------------------------ *)
 (* FM partitioning                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -433,10 +483,187 @@ let prop_removal_works_on_synthesized =
         report.Noc_deadlock.Removal.deadlock_free && Validate.is_valid net
       end)
 
+(* The synthesis algorithm as first written, kept only as the oracle
+   for [Custom.synthesize]: link construction rebuilds the switch graph
+   and its reachability for every demanded pair, and routing rebuilds
+   the switch graph and the best link per switch pair for every flow,
+   then runs a full Dijkstra. *)
+module Reference = struct
+  let best_links topo ~weight =
+    let best = Hashtbl.create 64 in
+    let consider (l : Topology.link) =
+      let key = (Ids.Switch.to_int l.Topology.src, Ids.Switch.to_int l.Topology.dst) in
+      let w = weight l in
+      match Hashtbl.find_opt best key with
+      | Some (w', l') when w' < w || (w' = w && Ids.Link.compare l'.Topology.id l.Topology.id < 0)
+        ->
+          ()
+      | Some _ | None -> Hashtbl.replace best key (w, l)
+    in
+    List.iter consider (Topology.links topo);
+    best
+
+  let route net ~weight flow =
+    let src, dst = Network.endpoints net flow in
+    if Ids.Switch.equal src dst then Some []
+    else begin
+      let topo = Network.topology net in
+      let best = best_links topo ~weight in
+      let edge_weight u v =
+        match Hashtbl.find_opt best (u, v) with Some (w, _) -> w | None -> infinity
+      in
+      let src = Ids.Switch.to_int src and dst = Ids.Switch.to_int dst in
+      let dist, parent =
+        Noc_graph.Paths.dijkstra (Topology.switch_graph topo) ~weight:edge_weight src
+      in
+      if dist.(dst) = infinity then None
+      else begin
+        let rec channels v acc =
+          if v = src then acc
+          else
+            let u = parent.(v) in
+            let _, l = Hashtbl.find best (u, v) in
+            channels u (Channel.make l.Topology.id 0 :: acc)
+        in
+        Some (channels dst [])
+      end
+    end
+
+  (* Routes [flows] in order; [weight load] prices a link given the
+     bandwidth already routed over each link. *)
+  let route_all net flows ~weight =
+    let load = Hashtbl.create 64 in
+    let link_load (l : Topology.link) =
+      Option.value ~default:0. (Hashtbl.find_opt load l.Topology.id)
+    in
+    List.for_all
+      (fun (f : Traffic.flow) ->
+        match route net ~weight:(weight link_load) f.Traffic.id with
+        | None -> false
+        | Some r ->
+            Network.set_route net f.Traffic.id r;
+            List.iter
+              (fun c ->
+                let k = Channel.link c in
+                Hashtbl.replace load k
+                  (Option.value ~default:0. (Hashtbl.find_opt load k) +. f.Traffic.bandwidth))
+              r;
+            true)
+      flows
+
+  let synthesize (options : Custom.options) traffic ~n_switches =
+    let mapping =
+      match options.Custom.mapper with
+      | Custom.Greedy_affinity -> Mapping.cluster traffic ~n_switches
+      | Custom.Min_cut -> Fm_partition.cluster traffic ~n_switches
+    in
+    let topo = Topology.create ~n_switches in
+    let demand = Array.make_matrix n_switches n_switches 0. in
+    List.iter
+      (fun (f : Traffic.flow) ->
+        let s = Ids.Switch.to_int mapping.(Ids.Core.to_int f.Traffic.src) in
+        let t = Ids.Switch.to_int mapping.(Ids.Core.to_int f.Traffic.dst) in
+        if s <> t then demand.(s).(t) <- demand.(s).(t) +. f.Traffic.bandwidth)
+      (Traffic.flows traffic);
+    let out_deg = Array.make n_switches 0 and in_deg = Array.make n_switches 0 in
+    let add_link a b =
+      ignore (Topology.add_link topo ~src:(sw a) ~dst:(sw b));
+      out_deg.(a) <- out_deg.(a) + 1;
+      in_deg.(b) <- in_deg.(b) + 1
+    in
+    let pairs = ref [] in
+    for a = 0 to n_switches - 1 do
+      for b = 0 to n_switches - 1 do
+        if a <> b && demand.(a).(b) > 0. then pairs := (demand.(a).(b), a, b) :: !pairs
+      done
+    done;
+    let sorted =
+      List.sort
+        (fun (w1, a1, b1) (w2, a2, b2) ->
+          match compare w2 w1 with 0 -> compare (a1, b1) (a2, b2) | c -> c)
+        !pairs
+    in
+    List.iter
+      (fun (_, a, b) ->
+        if out_deg.(a) < options.Custom.max_out_degree
+           && in_deg.(b) < options.Custom.max_in_degree
+        then add_link a b)
+      sorted;
+    List.iter
+      (fun (_, a, b) ->
+        let g = Topology.switch_graph topo in
+        let reach = Array.init n_switches (fun s -> Noc_graph.Traversal.reachable g s) in
+        if not reach.(a).(b) then add_link a b)
+      sorted;
+    if options.Custom.force_bidirectional then
+      List.filter_map
+        (fun (l : Topology.link) ->
+          match Topology.find_links topo ~src:l.Topology.dst ~dst:l.Topology.src with
+          | [] -> Some (Ids.Switch.to_int l.Topology.dst, Ids.Switch.to_int l.Topology.src)
+          | _ :: _ -> None)
+        (Topology.links topo)
+      |> List.sort_uniq compare
+      |> List.iter (fun (a, b) -> add_link a b);
+    let net =
+      Network.make ~topology:topo ~traffic ~mapping:(fun c -> mapping.(Ids.Core.to_int c))
+    in
+    let flows = Traffic.flows traffic in
+    let routed =
+      if options.Custom.load_aware_routing then
+        let total = max 1e-9 (Traffic.total_bandwidth traffic) in
+        route_all net
+          (List.sort
+             (fun (a : Traffic.flow) b ->
+               match compare b.Traffic.bandwidth a.Traffic.bandwidth with
+               | 0 -> Ids.Flow.compare a.Traffic.id b.Traffic.id
+               | c -> c)
+             flows)
+          ~weight:(fun load l -> 1. +. (load l /. total))
+      else route_all net flows ~weight:(fun _ _ -> 1.)
+    in
+    if routed then Some net else None
+end
+
+let synth_case_gen =
+  QCheck.Gen.(
+    let* n_cores = int_range 6 48 in
+    let* flows_per_core = int_range 1 3 in
+    let* seed = int_bound 10_000 in
+    let* n_switches = int_range 2 (n_cores / 2) in
+    let* max_out_degree = int_range 1 4 in
+    let* max_in_degree = int_range 1 4 in
+    let* force_bidirectional = bool in
+    let* load_aware_routing = bool in
+    let* mapper = oneofl [ Custom.Greedy_affinity; Custom.Min_cut ] in
+    return
+      ( (n_cores, flows_per_core, seed, n_switches),
+        { Custom.max_out_degree; max_in_degree; load_aware_routing; force_bidirectional; mapper }
+      ))
+
+let prop_synthesis_matches_reference =
+  QCheck.Test.make ~name:"synthesis matches the per-pair reference" ~count:150
+    (QCheck.make
+       ~print:(fun ((n, k, seed, s), (o : Custom.options)) ->
+         Printf.sprintf "cores=%d flows/core=%d seed=%d switches=%d deg=%d/%d bidir=%b load=%b min_cut=%b"
+           n k seed s o.Custom.max_out_degree o.Custom.max_in_degree
+           o.Custom.force_bidirectional o.Custom.load_aware_routing
+           (o.Custom.mapper = Custom.Min_cut))
+       synth_case_gen)
+    (fun ((n_cores, flows_per_core, seed, n_switches), options) ->
+      let traffic = Noc_benchmarks.Synthetic.uniform ~n_cores ~flows_per_core ~seed in
+      match
+        (Custom.synthesize ~options traffic ~n_switches, Reference.synthesize options traffic ~n_switches)
+      with
+      | Ok net, Some ref_net ->
+          Topology.links (Network.topology net) = Topology.links (Network.topology ref_net)
+          && Network.routes net = Network.routes ref_net
+      | Error _, None -> true
+      | Ok _, None | Error _, Some _ -> false)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_synthesis_always_valid; prop_mapping_within_range;
-      prop_removal_works_on_synthesized ]
+      prop_removal_works_on_synthesized; prop_synthesis_matches_reference ]
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -468,6 +695,9 @@ let () =
           tc "degree budget" test_synthesize_respects_degree_budget_mostly;
           tc "deterministic" test_synthesize_deterministic;
           tc "switch count sweep" test_synthesize_switch_count_sweep;
+          tc "switch count out of range" test_synthesize_switch_count_out_of_range;
+          tc "allocation guard" test_synthesize_allocation_guard;
+          tc "synthesis spans" test_synthesize_spans;
         ] );
       ( "fm_partition",
         [
