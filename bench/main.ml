@@ -339,8 +339,12 @@ let run_perf () =
 (* against the committed baseline in CI.                               *)
 (* ------------------------------------------------------------------ *)
 
-let write_report path text =
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+module Ledger = Noc_obs.Ledger
+
+let write_report path ledger =
+  Format.printf "%a@." Ledger.pp ledger;
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (Ledger.to_json ledger));
   Format.printf "@.wrote %s@." path
 
 let time_min_ms reps base f =
@@ -372,58 +376,86 @@ let phase_attribution base =
          Noc_deadlock.Removal.run net));
   Noc_obs.Export.phase_totals_ms collector
 
-let removal_entries () =
+(* The removal gate.  Iterations and added VCs are the algorithm's
+   deterministic trajectory: any drift is a behaviour change.  Wall
+   times never compare across machines, only the same-host
+   rebuild/incremental ratio: per entry it may drop at most 25 %, and
+   over the D36_8 sweep it must stay at least 4.0x (slack under the
+   ~5.3x measured on noisy CI hosts). *)
+let removal_gates =
+  Ledger.
+    [
+      ("iterations", Exact);
+      ("vcs_added", Exact);
+      ("speedup", Drop 0.25);
+      ("aggregate_speedup", Min 4.0);
+    ]
+
+(* Rebuild arms under 2 ms show ±30 % ratio noise even with min-of-reps
+   timing, so their entries report no speedup row; the D36_8 aggregate
+   still covers them. *)
+let min_stable_ms = 2.0
+
+let removal_ledger () =
   let points =
     [
       ("D36_8", [ 10; 14; 18; 22; 26; 30; 35 ]);
       ("D26_media", [ 8; 14; 20; 26 ]);
     ]
   in
-  List.concat_map
-    (fun (name, switch_counts) ->
-      let spec =
-        match Noc_benchmarks.Registry.find name with
-        | Some s -> s
-        | None -> assert false
-      in
-      let traffic = spec.Noc_benchmarks.Spec.build () in
-      List.map
-        (fun n_switches ->
-          let base = Noc_synth.Custom.synthesize_exn traffic ~n_switches in
-          let incremental_ms, inc =
-            time_min_ms 5 base Noc_deadlock.Removal.run
-          in
-          let rebuild_ms, reb =
-            time_min_ms 5 base (Noc_deadlock.Removal.run ~incremental:false)
-          in
-          (* Both arms are exact by construction; a mismatch here means
-             the incremental CDG maintenance broke. *)
-          assert (
-            inc.Noc_deadlock.Removal.iterations
-            = reb.Noc_deadlock.Removal.iterations);
-          assert (
-            inc.Noc_deadlock.Removal.vcs_added
-            = reb.Noc_deadlock.Removal.vcs_added);
-          {
-            Bench_report.benchmark = name;
-            n_switches;
-            iterations = inc.Noc_deadlock.Removal.iterations;
-            vcs_added = inc.Noc_deadlock.Removal.vcs_added;
-            incremental_ms;
-            rebuild_ms;
-            phases = phase_attribution base;
-          })
-        switch_counts)
-    points
+  let row case (metric, v) =
+    { Ledger.layer = "removal"; case; metric; value = Ledger.Num v }
+  in
+  let d36_incremental = ref 0. and d36_rebuild = ref 0. in
+  let entry name traffic n_switches =
+    let base = Noc_synth.Custom.synthesize_exn traffic ~n_switches in
+    let incremental_ms, inc = time_min_ms 5 base Noc_deadlock.Removal.run in
+    let rebuild_ms, reb =
+      time_min_ms 5 base (Noc_deadlock.Removal.run ~incremental:false)
+    in
+    (* Both arms are exact by construction; a mismatch here means the
+       incremental CDG maintenance broke. *)
+    assert (
+      inc.Noc_deadlock.Removal.iterations = reb.Noc_deadlock.Removal.iterations);
+    assert (
+      inc.Noc_deadlock.Removal.vcs_added = reb.Noc_deadlock.Removal.vcs_added);
+    if name = "D36_8" then begin
+      d36_incremental := !d36_incremental +. incremental_ms;
+      d36_rebuild := !d36_rebuild +. rebuild_ms
+    end;
+    List.map
+      (row (Printf.sprintf "%s@%d" name n_switches))
+      ([
+         ("iterations", float_of_int inc.Noc_deadlock.Removal.iterations);
+         ("vcs_added", float_of_int inc.Noc_deadlock.Removal.vcs_added);
+         ("incremental_ms", incremental_ms);
+         ("rebuild_ms", rebuild_ms);
+       ]
+      @ (if rebuild_ms >= min_stable_ms && incremental_ms > 0. then
+           [ ("speedup", rebuild_ms /. incremental_ms) ]
+         else [])
+      @ List.map
+          (fun (span, ms) -> (span ^ "_ms", ms))
+          (phase_attribution base))
+  in
+  let entries =
+    List.concat_map
+      (fun (name, switch_counts) ->
+        let spec = Option.get (Noc_benchmarks.Registry.find name) in
+        let traffic = spec.Noc_benchmarks.Spec.build () in
+        List.concat_map (entry name traffic) switch_counts)
+      points
+  in
+  {
+    Ledger.gates = removal_gates;
+    rows =
+      entries
+      @ [ row "D36_8" ("aggregate_speedup", !d36_rebuild /. !d36_incremental) ];
+  }
 
 let run_removal_json () =
   section "Removal benchmark: incremental vs rebuild-per-iteration";
-  let entries = removal_entries () in
-  Format.printf "%a@." Bench_report.pp entries;
-  Format.printf "@.aggregate D36_8 speedup: %.2fx@."
-    (Bench_report.aggregate_speedup
-       (List.filter (fun e -> e.Bench_report.benchmark = "D36_8") entries));
-  write_report "BENCH_removal.json" (Bench_report.to_json entries)
+  write_report "BENCH_removal.json" (removal_ledger ())
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable batch-service benchmark (BENCH_service.json): the  *)
@@ -471,7 +503,29 @@ let run_batch ~domains ~cache jobs =
   in
   Noc_service.Batch.run config jobs
 
-let service_report () =
+(* The service gate.  Result hashes are deterministic outputs: any
+   drift is a behaviour change.  Wall times compare only as same-host
+   ratios: warm replay must hit the cache every time and cost at most
+   half of the cold 1-domain batch; the 2- and 4-domain arms must reach
+   1.6x and 2.5x over it; and the series collector may cost at most
+   3 % of the batch.  The speedup and overhead rows exist only where
+   measured: an N-domain arm only on a host with N cores, the overhead
+   only on 2 or more cores once it exceeds the 5 ms slack. *)
+let service_gates =
+  Ledger.
+    [
+      ("job_hash", Exact);
+      ("result_hash", Exact);
+      ("hit_rate", Min 1.0);
+      ("fraction_of_cold", Max 0.5);
+      ("speedup_2_domains", Min 1.6);
+      ("speedup_4_domains", Min 2.5);
+      ("overhead", Max 0.03);
+    ]
+
+let collector_slack_ms = 5.
+
+let service_ledger () =
   let open Noc_service in
   let jobs = service_jobs () in
   let hashes results =
@@ -508,13 +562,7 @@ let service_report () =
              domains);
       if summary.Batch.wall_ms < !best then best := summary.Batch.wall_ms
     done;
-    {
-      Service_report.domains;
-      wall_ms = !best;
-      jobs_per_s =
-        (if !best > 0. then 1000. *. float_of_int (List.length jobs) /. !best
-         else 0.);
-    }
+    (domains, !best)
   in
   let host_cores = Domain.recommended_domain_count () in
   let arms = List.filter (fun d -> d = 1 || d <= host_cores) [ 1; 2; 4 ] in
@@ -562,29 +610,65 @@ let service_report () =
   if hashes replay_results <> reference_hashes then
     failwith "service bench: warm replay diverged from the sequential reference";
   let replay_stats = Result_cache.stats cache in
+  let row case (metric, value) =
+    { Ledger.layer = "service"; case; metric; value }
+  in
+  let num case (metric, v) = row case (metric, Ledger.Num v) in
+  let cold_ms = List.assoc 1 timings in
+  let arm (domains, wall_ms) =
+    List.map
+      (num (Printf.sprintf "%d-domain" domains))
+      ([
+         ("wall_ms", wall_ms);
+         ( "jobs_per_s",
+           if wall_ms > 0. then
+             1000. *. float_of_int (List.length jobs) /. wall_ms
+           else 0. );
+       ]
+      @
+      if domains > 1 then
+        [ (Printf.sprintf "speedup_%d_domains" domains, cold_ms /. wall_ms) ]
+      else [])
+  in
   {
-    Service_report.host_cores;
-    jobs =
-      List.map
+    Ledger.gates = service_gates;
+    rows =
+      List.concat_map
         (fun (r : Batch.job_result) ->
-          {
-            Service_report.label = Job.label r.Batch.job;
-            job_hash = Job.hash r.Batch.job;
-            result_hash = Outcome.result_hash r.Batch.outcome;
-          })
-        reference;
-    timings;
-    replay_wall_ms = replay_summary.Batch.wall_ms;
-    replay_hit_rate = Result_cache.hit_rate replay_stats;
-    collector_off_wall_ms = Some collector_off_wall_ms;
-    collector_on_wall_ms = Some collector_on_wall_ms;
+          List.map
+            (row (Job.label r.Batch.job))
+            [
+              ("job_hash", Ledger.Str (Job.hash r.Batch.job));
+              ( "result_hash",
+                Ledger.Str (Outcome.result_hash r.Batch.outcome) );
+            ])
+        reference
+      @ [ num "host" ("cores", float_of_int host_cores) ]
+      @ List.concat_map arm timings
+      @ List.map (num "replay")
+          [
+            ("wall_ms", replay_summary.Batch.wall_ms);
+            ("hit_rate", Result_cache.hit_rate replay_stats);
+            ("fraction_of_cold", replay_summary.Batch.wall_ms /. cold_ms);
+          ]
+      @ List.map (num "collector")
+          ([
+             ("off_wall_ms", collector_off_wall_ms);
+             ("on_wall_ms", collector_on_wall_ms);
+           ]
+          @
+          (* On one core the collector domain steals time by
+             construction, and a few ms either way is scheduler noise
+             on a short run: neither is reported as overhead. *)
+          let extra_ms = collector_on_wall_ms -. collector_off_wall_ms in
+          if host_cores >= 2 && extra_ms > collector_slack_ms then
+            [ ("overhead", extra_ms /. collector_off_wall_ms) ]
+          else []);
   }
 
 let run_service_json () =
   section "Batch service: throughput, determinism, warm replay";
-  let report = service_report () in
-  Format.printf "%a@." Noc_service.Service_report.pp report;
-  write_report "BENCH_service.json" (Noc_service.Service_report.to_json report)
+  write_report "BENCH_service.json" (service_ledger ())
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable simulation benchmark (BENCH_sim.json): a small     *)
@@ -616,9 +700,7 @@ let run_sim_json () =
   Format.printf "%a@.@." Campaign.pp_verdict verdict;
   if not (Campaign.verdict_ok verdict) then
     failwith "sim bench: campaign invariants violated";
-  let report = Sim_report.of_cells cells in
-  Format.printf "%a@." Sim_report.pp report;
-  write_report "BENCH_sim.json" (Sim_report.to_json report)
+  write_report "BENCH_sim.json" (Campaign.ledger cells)
 
 let all_sections =
   [

@@ -556,6 +556,14 @@ let tables_cmd =
     Term.(const run $ logs_term $ benchmark_arg $ switches_arg $ degree_arg
           $ input_arg $ switch_arg)
 
+let read_whole_file path =
+  try
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
+  with Sys_error e -> Error e
+
 let lint_cmd =
   let files_arg =
     Arg.(value & pos_all string []
@@ -619,14 +627,6 @@ let lint_cmd =
     Arg.(value & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE"
              ~doc:"Write the report to $(docv) instead of stdout.")
-  in
-  let read_file path =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    with Sys_error e -> Error e
   in
   (* A design file's first significant line is its format tag; anything
      else is handed to the jobs pass (which reports unusable JSON with a
@@ -697,9 +697,7 @@ let lint_cmd =
       else
         let targets =
           if files = [] then
-            let spec = or_die (lookup_benchmark name) in
             let _, net = or_die (synthesize name n_switches degree) in
-            ignore spec;
             [
               ( Printf.sprintf "%s@%d" name n_switches,
                 Noc_analysis.Pass.Design net );
@@ -711,7 +709,7 @@ let lint_cmd =
                   or_die
                     (Result.map_error
                        (fun e -> Printf.sprintf "cannot read %s: %s" path e)
-                       (read_file path))
+                       (read_whole_file path))
                 in
                 if is_design_text text then
                   match Io.load text with
@@ -970,14 +968,6 @@ let jobs_file_arg =
        & info [] ~docv:"JOBS.json"
            ~doc:"Job file (schema noc-jobs/1; see docs/SERVICE.md).")
 
-let read_whole_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error e -> Error e
-
 let load_jobs path =
   let open Noc_service in
   Result.bind
@@ -1044,9 +1034,9 @@ let batch_cmd =
     let jobs = or_die (load_jobs jobs_file) in
     let sink =
       match telemetry with
-      | None -> Telemetry.null
+      | None -> Noc_obs.Sink.null
       | Some path -> (
-          try Telemetry.to_file path
+          try Noc_obs.Sink.to_file path
           with Sys_error e -> or_die (Error e))
     in
     let config =
@@ -1184,9 +1174,9 @@ let serve_cmd =
     in
     let sink =
       match telemetry with
-      | None -> Telemetry.null
+      | None -> Noc_obs.Sink.null
       | Some path -> (
-          try Telemetry.to_file path with Sys_error e -> or_die (Error e))
+          try Noc_obs.Sink.to_file path with Sys_error e -> or_die (Error e))
     in
     let config =
       {
@@ -1784,8 +1774,8 @@ let campaign_cmd =
     Arg.(value
          & opt (some string) None
          & info [ "out" ] ~docv:"FILE"
-             ~doc:"Write the machine-readable bench-sim/1 report (the \
-                   BENCH_sim.json the CI gate checks) to $(docv).")
+             ~doc:"Write the machine-readable bench/2 report (the \
+                   BENCH_sim.json rows the CI gate checks) to $(docv).")
   in
   let report_arg =
     Arg.(value
@@ -1923,8 +1913,8 @@ let campaign_cmd =
     Option.iter
       (fun path ->
         write_file path
-          (Noc_campaign.Sim_report.to_json
-             (Noc_campaign.Sim_report.of_cells ~slo:slo_verdicts cells)))
+          (Noc_obs.Ledger.to_json
+             (Noc_campaign.Campaign.ledger ~slo:slo_verdicts cells)))
       out;
     Option.iter
       (fun path ->
@@ -1951,14 +1941,14 @@ let campaign_cmd =
              "With $(b,--store), finished cells persist on disk and a rerun \
               of the same campaign serves them warm, so an interrupted \
               sweep resumes where it stopped.  $(b,--out) emits the \
-              bench-sim/1 JSON consumed by the CI regression gate; \
+              bench/2 rows consumed by the CI regression gate; \
               $(b,--report) renders the Markdown table with load-latency \
               curves.";
            `P
              "After the behavioural invariants, the declared SLOs \
               (per-cell p99 wall time, prover/certify agreement, …) are \
               evaluated over the run's metrics registry and recorded in \
-              the report's $(b,slo) section; $(b,--slo NAME=VALUE) \
+              the report's $(b,slo) rows; $(b,--slo NAME=VALUE) \
               overrides a threshold, which is how CI injects a violation \
               to prove the gate burns.";
            `P "Exits 2 when any invariant is violated or any SLO is burned.";

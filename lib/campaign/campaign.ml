@@ -85,7 +85,7 @@ let run ?(on_cell = fun (_ : cell) -> ()) config jobs =
       {
         Batch.domains = config.domains;
         cache = Some (Result_cache.create ~capacity:(max 1 (List.length jobs)));
-        telemetry = Telemetry.null;
+        telemetry = Noc_obs.Sink.null;
         timeout_ms = None;
         fail_fast = false;
         lint = config.lint;
@@ -220,6 +220,88 @@ let pp_verdict ppf v =
         (if List.length vs = 1 then "" else "s");
       List.iter (fun m -> Format.fprintf ppf "@,  %s" m) vs);
   Format.fprintf ppf "@]"
+
+(* ------------------------------------------------------------------ *)
+(* Bench ledger rows                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The sim gate.  Deadlock flags, deliveries and added VCs are exact
+   (the simulator is deterministic); latency and throughput may drift
+   25 % either way, so a deliberate workload tweak does not need a
+   lockstep baseline edit.  The result hash is reported but not gated:
+   it moves with any in-band drift.  The invariant rows and SLO
+   verdicts are ceilings and floors, so they hold whatever the baseline
+   says. *)
+let ledger_gates =
+  Noc_obs.Ledger.
+    [
+      ("job_hash", Exact);
+      ("deadlocked", Exact);
+      ("certified", Exact);
+      ("delivered", Exact);
+      ("vcs_added", Exact);
+      ("avg_latency", Band 0.25);
+      ("throughput", Band 0.25);
+      ("deadlock_on_protected", Max 0.);
+      ("deadlock_on_acyclic", Max 0.);
+      ("deadlock_uncertified", Max 0.);
+      ("ok", Min 1.);
+    ]
+
+let ledger ?(slo = []) cells =
+  let open Noc_obs.Ledger in
+  let bit b = Num (if b then 1. else 0.) in
+  let cell_rows cell =
+    (* The label names no injection rate, so rated cells add theirs to
+       stay distinct. *)
+    let case =
+      match
+        Option.bind (workload_of cell) Noc_benchmarks.Workloads.injection_rate
+      with
+      | Some rate -> Printf.sprintf "%s r=%g" (Job.label cell.job) rate
+      | None -> Job.label cell.job
+    in
+    let row (metric, value) = { layer = "sim"; case; metric; value } in
+    List.map row
+      ([
+         ("job_hash", Str (Job.hash cell.job));
+         ("result_hash", Str (Outcome.result_hash cell.outcome));
+         ("cdg_cyclic", bit (cdg_cyclic cell));
+         ("deadlocked", bit (deadlocked cell));
+         ("certified", bit (certified cell));
+       ]
+      @ List.map
+          (fun m -> (m, Num (metric cell m)))
+          [ "cycles"; "packets"; "delivered"; "avg_latency"; "p95_latency";
+            "throughput"; "vcs_added" ]
+      @
+      (* The paper's claim on a deadlocked cell: only an unprotected
+         cyclic CDG may deadlock, and always with a certificate. *)
+      if deadlocked cell then
+        [
+          ("deadlock_on_protected", bit (prepare_of cell <> Some Job.As_is));
+          ("deadlock_on_acyclic", bit (not (cdg_cyclic cell)));
+          ("deadlock_uncertified", bit (not (certified cell)));
+        ]
+      else [])
+  in
+  let slo_rows (v : Noc_obs.Slo.verdict) =
+    List.map
+      (fun (metric, value) ->
+        { layer = "slo"; case = v.Noc_obs.Slo.slo; metric; value })
+      ([ ("ok", bit v.Noc_obs.Slo.ok) ]
+      @ Option.fold ~none:[]
+          ~some:(fun x -> [ ("value", Num x) ])
+          v.Noc_obs.Slo.value
+      @ [ ("detail", Str v.Noc_obs.Slo.detail) ])
+  in
+  {
+    gates = ledger_gates;
+    rows =
+      List.concat_map cell_rows
+        (List.filter (fun c -> Outcome.is_done c.outcome) cells)
+      @ List.concat_map slo_rows slo;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Markdown report                                                     *)

@@ -94,6 +94,21 @@ val verify : ?expect_cyclic_deadlock:bool -> cell list -> verdict
 val verdict_ok : verdict -> bool
 val pp_verdict : Format.formatter -> verdict -> unit
 
+(** {1 Bench ledger} *)
+
+val ledger : ?slo:Noc_obs.Slo.verdict list -> cell list -> Noc_obs.Ledger.t
+(** The campaign as [bench/2] rows ([BENCH_sim.json]) with the sim gate
+    table.  Layer ["sim"]: one case per finished cell (unfinished cells
+    are {!verify}'s problem), named by its job label plus [r=RATE] for
+    rate-parameterized workloads, with the job and result hashes, the
+    [cdg_cyclic]/[deadlocked]/[certified] flags (0 or 1) and the
+    outcome metrics.  A deadlocked cell also carries the invariant
+    rows [deadlock_on_protected], [deadlock_on_acyclic] and
+    [deadlock_uncertified], each gated at most 0.  Layer ["slo"]: one
+    case per verdict of [slo] (default none), its [ok] row gated at
+    least 1.  The deadlock flags, deliveries, added VCs and job hash
+    gate exactly; [avg_latency] and [throughput] within 25 %. *)
+
 val markdown_report : cell list -> verdict -> string
 (** The campaign as a Markdown document: summary bullets, the per-cell
     table, and load–latency curves for rate-parameterized workloads. *)

@@ -79,7 +79,7 @@ type config = {
   domains : int;
   queue_capacity : int;
   store : Store.t option;
-  telemetry : Telemetry.sink;
+  telemetry : Noc_obs.Sink.t;
   lint : bool;
   slos : Noc_obs.Slo.t list;
   series_interval_s : float;
@@ -94,7 +94,7 @@ let default_config =
     domains = 2;
     queue_capacity = 64;
     store = None;
-    telemetry = Telemetry.null;
+    telemetry = Noc_obs.Sink.null;
     lint = true;
     slos = Noc_obs.Slo.defaults;
     series_interval_s = 1.;
@@ -224,7 +224,7 @@ let finish_job t conn ~id ?corr ~received_ns ~job ~hash ~cached outcome =
     (Lazy.force serve_metrics).m_submit_to_result_ms
     (Noc_obs.Clock.ms_between ~start_ns:received_ns
        ~stop_ns:(Noc_obs.Clock.now_ns ()));
-  t.config.telemetry.Telemetry.emit
+  t.config.telemetry.Noc_obs.Sink.emit
     (Telemetry.job_finished ?corr ~index:id ~job ~outcome ~cache_hit:cached ());
   Atomic.incr t.served;
   send conn (Wire.Result { id; job_hash = hash; outcome; cached })
@@ -242,7 +242,7 @@ let handle_submit t conn ~id ?corr job =
     match if t.config.lint then Lint.vet_job job else Ok () with
     | Error reason ->
         Noc_obs.Metrics.incr m.m_rejected;
-        t.config.telemetry.Telemetry.emit
+        t.config.telemetry.Noc_obs.Sink.emit
           (Telemetry.job_finished ?corr ~index:id ~job
              ~outcome:(Outcome.failed ~wall_ms:0. reason) ~cache_hit:false ());
         send conn (Wire.Rejected { id; reason })
@@ -281,7 +281,7 @@ let handle_submit t conn ~id ?corr job =
               Atomic.decr conn.pending;
               wake t
             in
-            t.config.telemetry.Telemetry.emit
+            t.config.telemetry.Noc_obs.Sink.emit
               (Telemetry.job_submitted ?corr ~index:id ~job ~queue_depth:depth
                  ());
             if not (Noc_pool.Pool.try_submit t.pool task) then begin
@@ -315,7 +315,7 @@ let handle_readable t conn buf =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | 0 ->
       conn.eof <- true;
-      t.config.telemetry.Telemetry.emit
+      t.config.telemetry.Noc_obs.Sink.emit
         (Telemetry.client_disconnected ~peer:conn.peer)
   | n ->
       Wire.feed conn.dec (Bytes.sub_string buf 0 n) ~off:0 ~len:n;
@@ -370,7 +370,7 @@ let accept t conns lfd =
         | Unix.ADDR_INET (host, port) ->
             Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
       in
-      t.config.telemetry.Telemetry.emit (Telemetry.client_connected ~peer);
+      t.config.telemetry.Noc_obs.Sink.emit (Telemetry.client_connected ~peer);
       conns :=
         {
           fd;
@@ -437,12 +437,12 @@ let run t =
   let collector = Noc_obs.Series.start t.series in
   (match t.config.store with
   | Some store ->
-      t.config.telemetry.Telemetry.emit
+      t.config.telemetry.Noc_obs.Sink.emit
         (Telemetry.server_started ~socket:t.config.socket_path
            ~domains:t.config.domains
            ~store_entries:(Store.stats store).Store.entries)
   | None ->
-      t.config.telemetry.Telemetry.emit
+      t.config.telemetry.Noc_obs.Sink.emit
         (Telemetry.server_started ~socket:t.config.socket_path
            ~domains:t.config.domains ~store_entries:0));
   let conns = ref [] in
@@ -465,7 +465,7 @@ let run t =
     if stopping t && not !drain_announced then begin
       drain_announced := true;
       close_listeners ();
-      t.config.telemetry.Telemetry.emit
+      t.config.telemetry.Noc_obs.Sink.emit
         (Telemetry.drain_started ~inflight:(Atomic.get t.inflight))
     end;
     if stopping t && Atomic.get t.inflight = 0 then finished := true
@@ -517,9 +517,9 @@ let run t =
   close_metrics_listener ();
   (try Sys.remove t.config.socket_path with Sys_error _ -> ());
   Option.iter Store.flush t.config.store;
-  t.config.telemetry.Telemetry.emit
+  t.config.telemetry.Noc_obs.Sink.emit
     (Telemetry.server_stopped ~jobs:(Atomic.get t.served)
        ~wall_ms:(1000. *. (Unix.gettimeofday () -. t.started_at)));
-  t.config.telemetry.Telemetry.close ();
+  t.config.telemetry.Noc_obs.Sink.close ();
   Unix.close t.wake_r;
   Unix.close t.wake_w

@@ -22,7 +22,7 @@ type config = {
   queue_capacity : int;
       (** Bounded-queue depth; beyond it submissions get [Overloaded]. *)
   store : Store.t option;  (** Persistent result store (warm restarts). *)
-  telemetry : Telemetry.sink;
+  telemetry : Noc_obs.Sink.t;
   lint : bool;  (** Vet submissions before they reach the pool. *)
   slos : Noc_obs.Slo.t list;
       (** Objectives evaluated on every scrape and {!Wire.Metrics}

@@ -1,36 +1,12 @@
 (** Structured JSON-lines telemetry for the batch service.
 
     Every event is one JSON object per line with a fixed envelope
-    ([ts], [event]) plus event-specific fields.  Sinks are pluggable
-    and internally serialized, so worker domains emit without any
-    coordination.  Telemetry is observability, not results: nothing in
-    it participates in result hashing.
-
-    The sink type is the observability layer's {!Noc_obs.Sink.t}
-    (re-exported with its fields), so span traces and telemetry share
-    one transport — [Noc_obs.Export.to_sink] writes a [noc-trace/1]
-    stream through the very same sinks. *)
-
-type sink = Noc_obs.Sink.t = { emit : Json.t -> unit; close : unit -> unit }
-
-val null : sink
-val to_channel : out_channel -> sink
-(** Mutex-serialized writer; [close] flushes but does not close the
-    channel (the caller owns it). *)
-
-val to_file : string -> sink
-(** Atomic writer: events accumulate in a temp file next to [path] and
-    [close] renames it into place — a killed run never leaves a
-    truncated half-line at [path].
-    @raise Sys_error when the temp file cannot be created. *)
-
-val memory : unit -> sink * (unit -> Json.t list)
-(** In-memory sink and an accessor returning events oldest-first. *)
-
-val tee : sink -> sink -> sink
-
-val line : Json.t -> string
-(** The JSONL rendering of one event (no trailing newline). *)
+    ([ts], [event]) plus event-specific fields, written through a
+    {!Noc_obs.Sink.t} — the transport the span tracer's [noc-trace/1]
+    export uses too.  Sinks are internally serialized, so worker
+    domains emit without any coordination.  Telemetry is
+    observability, not results: nothing in it participates in result
+    hashing. *)
 
 (** Event constructors.  [index] is the job's position in its batch;
     [corr] is the wire-level correlation id (absent for in-process

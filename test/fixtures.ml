@@ -24,6 +24,32 @@ let one_violation ~needle errors =
       Alcotest.failf "want one violation naming %S, got [%s]" needle
         (String.concat "; " errors)
 
+(* Bench-gate cases mutate the rows of a committed bench/2 baseline
+   and compare the result against the baseline itself. *)
+module Ledger = Noc_obs.Ledger
+
+let ledger_gate baseline_text mutate =
+  match Ledger.of_json baseline_text with
+  | Error msg -> Alcotest.fail msg
+  | Ok baseline ->
+      Ledger.compare ~baseline { baseline with rows = mutate baseline.rows }
+
+(* Rewrite the value of the [metric] row of [case]; a row that does not
+   exist is a test bug, not a vacuous pass. *)
+let update_row ~case ~metric f rows =
+  let hit (r : Ledger.row) = r.case = case && r.metric = metric in
+  if not (List.exists hit rows) then Alcotest.failf "no %s row in %s" metric case;
+  List.map (fun (r : Ledger.row) -> if hit r then { r with value = f r.value } else r) rows
+
+let set_row ~case ~metric value = update_row ~case ~metric (fun _ -> value)
+
+let scale k = function Ledger.Num x -> Ledger.Num (k *. x) | v -> v
+
+let add_row ~layer ~case ~metric value rows =
+  rows @ [ { Ledger.layer; case; metric; value } ]
+
+let drop_rows drop (rows : Ledger.row list) = List.filter (fun r -> not (drop r)) rows
+
 (* One domain's raw span events obey stack discipline: every end
    closes the innermost open span, and none stays open. *)
 let spans_balanced entries =

@@ -1,6 +1,6 @@
 (* The campaign subsystem: grid construction, the store-backed resume
    path, the deadlock-freedom verdict, the Markdown report, and the
-   bench-sim/1 report with its baseline gate. *)
+   bench/2 rows with the sim gate. *)
 
 open Noc_service
 open Noc_campaign
@@ -148,104 +148,89 @@ let test_markdown_report_shape () =
     (contains ~needle:"## Load" rated_md)
 
 (* ------------------------------------------------------------------ *)
-(* Sim_report: JSON round-trip and the regression gate                 *)
+(* Campaign.ledger and the sim gate                                    *)
 (* ------------------------------------------------------------------ *)
 
-let report_of_small_grid () =
-  let cells = Campaign.run Campaign.default_config (small_grid ()) in
-  Sim_report.of_cells cells
+module Ledger = Noc_obs.Ledger
 
 let test_sim_report_roundtrip () =
-  let report = report_of_small_grid () in
-  check int_c "every finished cell reported" 12
-    (List.length report.Sim_report.entries);
-  match Sim_report.of_json (Sim_report.to_json report) with
+  let cells = Campaign.run Campaign.default_config (small_grid ()) in
+  let ledger = Campaign.ledger cells in
+  let cases layer =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (r : Ledger.row) -> if r.layer = layer then Some r.case else None)
+         ledger.Ledger.rows)
+  in
+  check int_c "every finished cell reported" 12 (List.length (cases "sim"));
+  check int_c "no slo rows without verdicts" 0 (List.length (cases "slo"));
+  match Ledger.of_json (Ledger.to_json ledger) with
   | Error e -> Alcotest.failf "round-trip failed: %s" e
-  | Ok decoded -> check bool_c "round-trips exactly" true (decoded = report)
+  | Ok decoded -> check bool_c "round-trips exactly" true (decoded = ledger)
+
+(* Every gate case mutates the committed BENCH_sim.json. *)
+let sim_gate = Fixtures.ledger_gate Baselines.sim
 
 let test_sim_report_gate_passes_on_self () =
-  let report = report_of_small_grid () in
-  check
-    Alcotest.(list string)
-    "self-comparison is clean" []
-    (Sim_report.compare_to_baseline ~baseline:report report)
+  check Alcotest.(list string) "self-comparison is clean" [] (sim_gate Fun.id)
 
-let with_entry f report =
-  {
-    report with
-    Sim_report.entries =
-      List.map
-        (fun (e : Sim_report.entry) ->
-          if e.Sim_report.prepare = "removal" && e.Sim_report.workload = "burst"
-             && e.Sim_report.benchmark = "D36_8"
-          then f e
-          else e)
-        report.Sim_report.entries;
-  }
+let protected_cell = "sim burst/removal D36_8@14"
+let acyclic_cell = "sim burst/as-is D26_media@14"
+let deadlocked_cell = "sim burst/as-is D36_8@14"
 
 let test_sim_report_gate_catches_regressions () =
-  let baseline = report_of_small_grid () in
-  (* A protected cell that starts deadlocking is caught by the hard
-     invariant even before the baseline diff. *)
-  let broken =
-    with_entry
-      (fun e ->
-        { e with Sim_report.deadlocked = true; certified = true;
-                 cdg_cyclic = true; result_hash = "tampered" })
-      baseline
+  let one needle mutate = Fixtures.one_violation ~needle (sim_gate mutate) in
+  let flag case metric =
+    Fixtures.add_row ~layer:"sim" ~case ~metric (Ledger.Num 1.)
   in
-  let errors = Sim_report.compare_to_baseline ~baseline broken in
-  check bool_c "deadlock flip caught" true (errors <> []);
-  check bool_c "named as a protected-design deadlock" true
-    (List.exists (contains ~needle:"removal-protected") errors);
-  check bool_c "invariant check needs no baseline" true
-    (Sim_report.invariant_errors broken <> []);
-  (* Latency drift beyond the band fails; inside the band passes. *)
-  let slow =
-    with_entry
-      (fun e ->
-        { e with Sim_report.avg_latency = e.Sim_report.avg_latency *. 2.;
-                 result_hash = "drifted" })
-      baseline
-  in
-  check bool_c "2x latency caught" true
-    (List.exists (contains ~needle:"avg latency")
-       (Sim_report.compare_to_baseline ~baseline slow));
-  let slight =
-    with_entry
-      (fun e ->
-        { e with Sim_report.avg_latency = e.Sim_report.avg_latency *. 1.1;
-                 result_hash = "drifted" })
-      baseline
-  in
+  (* The deadlock invariants hold whatever the baseline says. *)
+  one "burst/removal D36_8@14: deadlock_on_protected 1 above the maximum 0"
+    (flag protected_cell "deadlock_on_protected");
+  one "burst/as-is D26_media@14: deadlock_on_acyclic 1 above the maximum 0"
+    (flag acyclic_cell "deadlock_on_acyclic");
+  one "burst/as-is D36_8@14: deadlock_uncertified 1 above the maximum 0"
+    (Fixtures.set_row ~case:deadlocked_cell ~metric:"deadlock_uncertified"
+       (Ledger.Num 1.));
+  (* So does every SLO verdict the campaign recorded. *)
+  one "slo/campaign_cell_p99_ms: ok 0 below the minimum 1"
+    (Fixtures.add_row ~layer:"slo" ~case:"campaign_cell_p99_ms" ~metric:"ok"
+       (Ledger.Num 0.));
+  (* Deadlock flags, deliveries and added VCs are exact. *)
+  one "burst/removal D36_8@14: deadlocked changed 0 -> 1"
+    (Fixtures.set_row ~case:protected_cell ~metric:"deadlocked" (Ledger.Num 1.));
+  one "burst/as-is D36_8@14: certified changed 1 -> 0"
+    (Fixtures.set_row ~case:deadlocked_cell ~metric:"certified" (Ledger.Num 0.));
+  one "burst/removal D36_8@14: delivered changed"
+    (Fixtures.update_row ~case:protected_cell ~metric:"delivered"
+       (function Ledger.Num x -> Ledger.Num (x -. 1.) | v -> v));
+  one "burst/removal D36_8@14: vcs_added changed 3 -> 4"
+    (Fixtures.set_row ~case:protected_cell ~metric:"vcs_added" (Ledger.Num 4.));
+  (* Latency and throughput drift beyond the band fails; inside it
+     passes. *)
+  one "burst/removal D36_8@14: avg_latency"
+    (Fixtures.update_row ~case:protected_cell ~metric:"avg_latency"
+       (Fixtures.scale 2.));
+  one "burst/removal D36_8@14: throughput"
+    (Fixtures.update_row ~case:protected_cell ~metric:"throughput"
+       (Fixtures.scale 0.5));
   check
     Alcotest.(list string)
     "10% drift inside the band" []
-    (Sim_report.compare_to_baseline ~baseline slight);
-  (* A missing cell is a gate failure. *)
-  let missing =
-    {
-      baseline with
-      Sim_report.entries =
-        List.filter
-          (fun (e : Sim_report.entry) -> e.Sim_report.prepare <> "removal")
-          baseline.Sim_report.entries;
-    }
-  in
-  check bool_c "missing cell caught" true
-    (List.exists (contains ~needle:"missing")
-       (Sim_report.compare_to_baseline ~baseline missing));
-  (* Delivery counts are exact: the sim is deterministic. *)
-  let short =
-    with_entry
-      (fun e ->
-        { e with Sim_report.delivered = e.Sim_report.delivered -. 1.;
-                 result_hash = "drifted" })
-      baseline
-  in
-  check bool_c "delivery change caught" true
-    (List.exists (contains ~needle:"delivered")
-       (Sim_report.compare_to_baseline ~baseline short))
+    (sim_gate (fun rows ->
+         Fixtures.update_row ~case:protected_cell ~metric:"avg_latency"
+           (Fixtures.scale 1.1)
+           (Fixtures.update_row ~case:protected_cell ~metric:"throughput"
+              (Fixtures.scale 0.9) rows)));
+  (* The result hash is reported, not gated: it moves with any drift. *)
+  check
+    Alcotest.(list string)
+    "result hash not gated" []
+    (sim_gate
+       (Fixtures.set_row ~case:protected_cell ~metric:"result_hash"
+          (Ledger.Str "drifted")));
+  (* A missing cell is one violation. *)
+  one "sim/sim burst/removal D36_8@14: case missing"
+    (Fixtures.drop_rows (fun (r : Ledger.row) -> r.case = protected_cell))
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

@@ -383,75 +383,72 @@ let test_sim_check_ring_demo () =
       Alcotest.fail "ring must complete after removal"
 
 (* ------------------------------------------------------------------ *)
-(* Bench_report: JSON and the removal regression gate                  *)
+(* The removal gate: bench/2 rows of the committed baseline            *)
 (* ------------------------------------------------------------------ *)
 
-let removal_baseline () =
-  match Bench_report.of_json Baselines.removal with
-  | Ok entries -> entries
-  | Error msg -> Alcotest.fail msg
+module Ledger = Noc_obs.Ledger
 
-(* Every gate case mutates a parsed copy of the committed baseline. *)
-let removal_gate mutate =
-  let baseline = removal_baseline () in
-  Bench_report.compare_to_baseline ~baseline (mutate baseline)
-
-let at name n f =
-  List.map (fun (e : Bench_report.entry) ->
-      if e.benchmark = name && e.n_switches = n then f e else e)
+let removal_gate = Fixtures.ledger_gate Baselines.removal
+let no_violations = check (Alcotest.list Alcotest.string) "no violations" []
 
 let test_removal_json_roundtrip () =
-  let baseline = removal_baseline () in
-  check int_c "committed entries" 11 (List.length baseline);
-  check bool_c "no phases in the committed baseline" true
-    (List.for_all (fun (e : Bench_report.entry) -> e.phases = []) baseline);
-  let traced =
-    at "D36_8" 14
-      (fun e -> { e with phases = [ ("cdg.build", 0.25); ("removal.run", 1.5) ] })
-      baseline
-  in
-  check bool_c "to_json/of_json round-trip" true
-    (Bench_report.of_json (Bench_report.to_json traced) = Ok traced)
+  match Ledger.of_json Baselines.removal with
+  | Error msg -> Alcotest.fail msg
+  | Ok baseline ->
+      let cases =
+        List.sort_uniq compare
+          (List.map (fun (r : Ledger.row) -> r.case) baseline.rows)
+      in
+      (* 11 sweep points plus the D36_8 aggregate. *)
+      check int_c "committed cases" 12 (List.length cases);
+      check Alcotest.string "to_json re-renders the committed file"
+        Baselines.removal (Ledger.to_json baseline)
 
-let test_removal_gate_passes_on_baseline () =
-  check (Alcotest.list Alcotest.string) "no violations" [] (removal_gate Fun.id)
+let test_removal_gate_passes_on_baseline () = no_violations (removal_gate Fun.id)
 
 let test_removal_gate_missing_entry () =
-  Fixtures.one_violation ~needle:"D26_media@26: entry missing"
-    (removal_gate
-       (List.filter (fun (e : Bench_report.entry) ->
-            not (e.benchmark = "D26_media" && e.n_switches = 26))))
+  Fixtures.one_violation ~needle:"removal/D26_media@26: case missing"
+    (removal_gate (Fixtures.drop_rows (fun (r : Ledger.row) -> r.case = "D26_media@26")))
 
 let test_removal_gate_iterations_drift () =
   Fixtures.one_violation ~needle:"D36_8@14: iterations changed 3 -> 4"
-    (removal_gate (at "D36_8" 14 (fun e -> { e with iterations = 4 })))
+    (removal_gate
+       (Fixtures.set_row ~case:"D36_8@14" ~metric:"iterations" (Ledger.Num 4.)))
 
 let test_removal_gate_vcs_drift () =
   Fixtures.one_violation ~needle:"D36_8@14: vcs_added changed 3 -> 4"
-    (removal_gate (at "D36_8" 14 (fun e -> { e with vcs_added = 4 })))
+    (removal_gate
+       (Fixtures.set_row ~case:"D36_8@14" ~metric:"vcs_added" (Ledger.Num 4.)))
 
 let test_removal_gate_speedup_regression () =
-  (* @35 times stably (rebuild >= 2 ms): 6.1x -> 4.1x is a 33% drop,
-     while the D36_8 aggregate stays above its floor. *)
-  Fixtures.one_violation ~needle:"D36_8@35: hot-path speedup regressed"
+  (* @35 times stably (rebuild >= 2 ms): 6.1x -> 4.1x is a 33% drop. *)
+  Fixtures.one_violation ~needle:"D36_8@35: speedup dropped 6.10424 -> 4.0695"
     (removal_gate
-       (at "D36_8" 35 (fun e ->
-            { e with incremental_ms = e.incremental_ms *. 1.5 })));
-  (* The same drop on a sub-2 ms rebuild arm is noise, not a gate. *)
-  check (Alcotest.list Alcotest.string) "baseline rebuild arm under 2 ms" []
+       (Fixtures.update_row ~case:"D36_8@35" ~metric:"speedup"
+          (Fixtures.scale (1. /. 1.5))));
+  (* A 20% drop is inside the 25% tolerance. *)
+  no_violations
     (removal_gate
-       (at "D36_8" 18 (fun e ->
-            { e with incremental_ms = e.incremental_ms *. 1.5 })));
-  check (Alcotest.list Alcotest.string) "current rebuild arm under 2 ms" []
-    (removal_gate (at "D36_8" 26 (fun e -> { e with rebuild_ms = 1.9 })))
+       (Fixtures.update_row ~case:"D36_8@35" ~metric:"speedup"
+          (Fixtures.scale 0.8)));
+  (* Sub-2 ms rebuild arms report no speedup row: a baseline without
+     one compares nothing, and neither does a current report without
+     one. *)
+  no_violations
+    (removal_gate
+       (Fixtures.add_row ~layer:"removal" ~case:"D36_8@18" ~metric:"speedup"
+          (Ledger.Num 1.)));
+  no_violations
+    (removal_gate
+       (Fixtures.drop_rows (fun (r : Ledger.row) ->
+            r.case = "D36_8@26" && r.metric = "speedup")))
 
 let test_removal_gate_aggregate_floor () =
-  (* @18's rebuild arm is too small for a per-entry check, so only the
-     aggregate floor catches a 10x slowdown there. *)
-  Fixtures.one_violation ~needle:"aggregate incremental speedup 2.83x below the 4.0x floor"
+  Fixtures.one_violation
+    ~needle:"removal/D36_8: aggregate_speedup 2.83 below the minimum 4"
     (removal_gate
-       (at "D36_8" 18 (fun e ->
-            { e with incremental_ms = e.incremental_ms *. 10. })))
+       (Fixtures.set_row ~case:"D36_8" ~metric:"aggregate_speedup"
+          (Ledger.Num 2.83)))
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

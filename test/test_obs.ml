@@ -501,9 +501,56 @@ let prop_series_round_trips =
                (fun k -> List.length (Series.points t k) <= window)
                (Series.keys t))
 
+(* Random bench/2 ledgers: rows grouped layer by layer and case by case
+   (as every producer emits them), non-integer and integral numbers,
+   32-hex-digit hash strings, and every gate kind. *)
+let ledger_gen =
+  let open QCheck.Gen in
+  let module Ledger = Noc_obs.Ledger in
+  let name = string_size ~gen:printable (int_range 0 8) in
+  let distinct g = map (List.sort_uniq compare) (list_size (int_range 1 3) g) in
+  let finite = map (fun x -> if Float.is_finite x then x else 0.1) float in
+  let hash = string_size ~gen:(oneofl (List.of_seq (String.to_seq "0123456789abcdef"))) (return 32) in
+  let value =
+    oneof
+      [
+        map (fun x -> Ledger.Num x) finite;
+        map (fun n -> Ledger.Num (float_of_int n)) small_signed_int;
+        map (fun h -> Ledger.Str h) hash;
+      ]
+  in
+  let gate =
+    oneof
+      [
+        return Ledger.Exact;
+        map (fun t -> Ledger.Band t) finite;
+        map (fun t -> Ledger.Drop t) finite;
+        map (fun x -> Ledger.Min x) finite;
+        map (fun x -> Ledger.Max x) finite;
+      ]
+  in
+  let each xs f = map List.concat (flatten_l (List.map f xs)) in
+  let* gates = list_size (int_range 0 6) (pair name gate) in
+  let* layers = distinct name in
+  let+ rows =
+    each layers (fun layer ->
+        let* cases = distinct name in
+        each cases (fun case ->
+            let* metrics = distinct name in
+            each metrics (fun metric ->
+                map (fun value -> [ { Ledger.layer; case; metric; value } ]) value)))
+  in
+  { Ledger.gates; rows }
+
+let prop_ledger_round_trips =
+  QCheck.Test.make ~name:"ledger round-trips through bench/2 JSON" ~count:200
+    (QCheck.make ~print:Noc_obs.Ledger.to_json ledger_gen)
+    (fun l -> Noc_obs.Ledger.of_json (Noc_obs.Ledger.to_json l) = Ok l)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_ledger_round_trips;
       prop_streams_well_parenthesized;
       prop_chrome_round_trips;
       prop_disabled_emits_nothing;
