@@ -340,6 +340,7 @@ let run_perf () =
 (* ------------------------------------------------------------------ *)
 
 module Ledger = Noc_obs.Ledger
+module Gates = Noc_experiments.Bench_gates
 
 let write_report path ledger =
   Format.printf "%a@." Ledger.pp ledger;
@@ -376,26 +377,6 @@ let phase_attribution base =
          Noc_deadlock.Removal.run net));
   Noc_obs.Export.phase_totals_ms collector
 
-(* The removal gate.  Iterations and added VCs are the algorithm's
-   deterministic trajectory: any drift is a behaviour change.  Wall
-   times never compare across machines, only the same-host
-   rebuild/incremental ratio: per entry it may drop at most 25 %, and
-   over the D36_8 sweep it must stay at least 4.0x (slack under the
-   ~5.3x measured on noisy CI hosts). *)
-let removal_gates =
-  Ledger.
-    [
-      ("iterations", Exact);
-      ("vcs_added", Exact);
-      ("speedup", Drop 0.25);
-      ("aggregate_speedup", Min 4.0);
-    ]
-
-(* Rebuild arms under 2 ms show ±30 % ratio noise even with min-of-reps
-   timing, so their entries report no speedup row; the D36_8 aggregate
-   still covers them. *)
-let min_stable_ms = 2.0
-
 let removal_ledger () =
   let points =
     [
@@ -428,12 +409,8 @@ let removal_ledger () =
       ([
          ("iterations", float_of_int inc.Noc_deadlock.Removal.iterations);
          ("vcs_added", float_of_int inc.Noc_deadlock.Removal.vcs_added);
-         ("incremental_ms", incremental_ms);
-         ("rebuild_ms", rebuild_ms);
        ]
-      @ (if rebuild_ms >= min_stable_ms && incremental_ms > 0. then
-           [ ("speedup", rebuild_ms /. incremental_ms) ]
-         else [])
+      @ Gates.removal_timing ~incremental_ms ~rebuild_ms
       @ List.map
           (fun (span, ms) -> (span ^ "_ms", ms))
           (phase_attribution base))
@@ -447,10 +424,12 @@ let removal_ledger () =
       points
   in
   {
-    Ledger.gates = removal_gates;
+    Ledger.gates = Gates.removal_gates;
     rows =
       entries
-      @ [ row "D36_8" ("aggregate_speedup", !d36_rebuild /. !d36_incremental) ];
+      @ List.map (row "D36_8")
+          (Gates.removal_aggregate ~incremental_ms:!d36_incremental
+             ~rebuild_ms:!d36_rebuild);
   }
 
 let run_removal_json () =
@@ -503,28 +482,6 @@ let run_batch ~domains ~cache jobs =
   in
   Noc_service.Batch.run config jobs
 
-(* The service gate.  Result hashes are deterministic outputs: any
-   drift is a behaviour change.  Wall times compare only as same-host
-   ratios: warm replay must hit the cache every time and cost at most
-   half of the cold 1-domain batch; the 2- and 4-domain arms must reach
-   1.6x and 2.5x over it; and the series collector may cost at most
-   3 % of the batch.  The speedup and overhead rows exist only where
-   measured: an N-domain arm only on a host with N cores, the overhead
-   only on 2 or more cores once it exceeds the 5 ms slack. *)
-let service_gates =
-  Ledger.
-    [
-      ("job_hash", Exact);
-      ("result_hash", Exact);
-      ("hit_rate", Min 1.0);
-      ("fraction_of_cold", Max 0.5);
-      ("speedup_2_domains", Min 1.6);
-      ("speedup_4_domains", Min 2.5);
-      ("overhead", Max 0.03);
-    ]
-
-let collector_slack_ms = 5.
-
 let service_ledger () =
   let open Noc_service in
   let jobs = service_jobs () in
@@ -565,8 +522,7 @@ let service_ledger () =
     (domains, !best)
   in
   let host_cores = Domain.recommended_domain_count () in
-  let arms = List.filter (fun d -> d = 1 || d <= host_cores) [ 1; 2; 4 ] in
-  let timings = List.map timing arms in
+  let timings = List.map timing (Gates.domain_arms ~host_cores) in
   (* Collector overhead: the same sequential batch with and without a
      series-collector domain sampling the registry at a deliberately
      aggressive 20 Hz (the daemon default is 1 Hz).  The collector is
@@ -618,20 +574,10 @@ let service_ledger () =
   let arm (domains, wall_ms) =
     List.map
       (num (Printf.sprintf "%d-domain" domains))
-      ([
-         ("wall_ms", wall_ms);
-         ( "jobs_per_s",
-           if wall_ms > 0. then
-             1000. *. float_of_int (List.length jobs) /. wall_ms
-           else 0. );
-       ]
-      @
-      if domains > 1 then
-        [ (Printf.sprintf "speedup_%d_domains" domains, cold_ms /. wall_ms) ]
-      else [])
+      (Gates.domain_arm ~domains ~jobs:(List.length jobs) ~cold_ms ~wall_ms)
   in
   {
-    Ledger.gates = service_gates;
+    Ledger.gates = Gates.service_gates;
     rows =
       List.concat_map
         (fun (r : Batch.job_result) ->
@@ -652,18 +598,8 @@ let service_ledger () =
             ("fraction_of_cold", replay_summary.Batch.wall_ms /. cold_ms);
           ]
       @ List.map (num "collector")
-          ([
-             ("off_wall_ms", collector_off_wall_ms);
-             ("on_wall_ms", collector_on_wall_ms);
-           ]
-          @
-          (* On one core the collector domain steals time by
-             construction, and a few ms either way is scheduler noise
-             on a short run: neither is reported as overhead. *)
-          let extra_ms = collector_on_wall_ms -. collector_off_wall_ms in
-          if host_cores >= 2 && extra_ms > collector_slack_ms then
-            [ ("overhead", extra_ms /. collector_off_wall_ms) ]
-          else []);
+          (Gates.collector ~host_cores ~off_ms:collector_off_wall_ms
+             ~on_ms:collector_on_wall_ms);
   }
 
 let run_service_json () =

@@ -143,6 +143,29 @@ let design_label cell =
 (* Invariant verification                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The paper's claim, cell by cell: only an unprotected cyclic CDG may
+   deadlock, and a real deadlock always has a waits-for cycle
+   certificate. *)
+type deadlock_invariants = {
+  on_protected : string option;  (* the protection a deadlock defeated *)
+  on_acyclic : bool;
+  uncertified : bool;
+}
+
+let deadlock_invariants cell =
+  let deadlock = deadlocked cell in
+  {
+    on_protected =
+      (if not deadlock then None
+       else
+         match prepare_of cell with
+         | Some Job.Removal_first -> Some "removal-protected"
+         | Some Job.Ordering_first -> Some "resource-ordered"
+         | Some Job.As_is | None -> None);
+    on_acyclic = deadlock && not (cdg_cyclic cell);
+    uncertified = deadlock && not (certified cell);
+  }
+
 type verdict = {
   cells : int;
   warm : int;
@@ -176,18 +199,13 @@ let verify ?(expect_cyclic_deadlock = true) cells =
         if deadlocked cell then begin
           incr deadlocks;
           if cdg_cyclic cell then incr cyclic_deadlocks;
-          (* The paper's claim, cell by cell: only an unprotected
-             cyclic CDG may deadlock, and a real deadlock always has a
-             waits-for cycle certificate. *)
-          (match prepare_of cell with
-          | Some Job.Removal_first ->
-              violate "%s: deadlock on a removal-protected design" label
-          | Some Job.Ordering_first ->
-              violate "%s: deadlock on a resource-ordered design" label
-          | Some Job.As_is | None -> ());
-          if not (cdg_cyclic cell) then
+          let inv = deadlock_invariants cell in
+          Option.iter
+            (violate "%s: deadlock on a %s design" label)
+            inv.on_protected;
+          if inv.on_acyclic then
             violate "%s: deadlock despite an acyclic CDG" label;
-          if not (certified cell) then
+          if inv.uncertified then
             violate "%s: deadlock without a waits-for cycle certificate" label
         end
       end)
@@ -275,13 +293,12 @@ let ledger ?(slo = []) cells =
           [ "cycles"; "packets"; "delivered"; "avg_latency"; "p95_latency";
             "throughput"; "vcs_added" ]
       @
-      (* The paper's claim on a deadlocked cell: only an unprotected
-         cyclic CDG may deadlock, and always with a certificate. *)
       if deadlocked cell then
+        let inv = deadlock_invariants cell in
         [
-          ("deadlock_on_protected", bit (prepare_of cell <> Some Job.As_is));
-          ("deadlock_on_acyclic", bit (not (cdg_cyclic cell)));
-          ("deadlock_uncertified", bit (not (certified cell)));
+          ("deadlock_on_protected", bit (inv.on_protected <> None));
+          ("deadlock_on_acyclic", bit inv.on_acyclic);
+          ("deadlock_uncertified", bit inv.uncertified);
         ]
       else [])
   in

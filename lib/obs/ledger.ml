@@ -135,16 +135,25 @@ let compare ~baseline current =
       fmt
   in
   let case r = (r.layer, r.case) in
+  let same_row a b = case a = case b && a.metric = b.metric in
   List.iter
     (fun (key, rows) ->
       if not (List.exists (fun c -> case c = key) current.rows) then
-        err (List.hd rows) "case missing from current report")
+        err (List.hd rows) "case missing from current report"
+      else
+        (* A present case keeps every row that gates against the
+           baseline, except [Drop] rows: a producer leaves those out
+           where the measurement is too noisy to judge. *)
+        List.iter
+          (fun b ->
+            match List.assoc_opt b.metric baseline.gates with
+            | Some (Exact | Band _) ->
+                if not (List.exists (same_row b) current.rows) then
+                  err b "%s missing from current report" b.metric
+            | Some (Drop _ | Min _ | Max _) | None -> ())
+          rows)
     (group case baseline.rows);
-  let baseline_row r =
-    List.find_opt
-      (fun b -> case b = case r && b.metric = r.metric)
-      baseline.rows
-  in
+  let baseline_row r = List.find_opt (same_row r) baseline.rows in
   List.iter
     (fun r ->
       match (List.assoc_opt r.metric baseline.gates, r.value) with
@@ -170,7 +179,7 @@ let compare ~baseline current =
                 err r "%s %g drifted more than %s from %g" r.metric v
                   (percent t) base
           | Some { value = Num base; _ }, Drop t, Num v ->
-              if v < base *. (1. -. t) then
+              if not (v >= base *. (1. -. t)) then
                 err r "%s dropped %g -> %g (more than %s)" r.metric base v
                   (percent t)
           | Some b, _, _ ->

@@ -7,7 +7,8 @@
     table is consulted; a metric without an entry is reported but not
     gated.  {!compare} applies three rules:
     + a [(layer, case)] of the baseline with no row in the current
-      report is one violation;
+      report is one violation, and so is each [Exact] or [Band] row of
+      the baseline missing from a case that is present;
     + [Exact], [Band] and [Drop] compare each current row with the
       baseline row of the same layer, case and metric (no baseline
       row, no check);

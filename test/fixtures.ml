@@ -50,6 +50,27 @@ let add_row ~layer ~case ~metric value rows =
 
 let drop_rows drop (rows : Ledger.row list) = List.filter (fun r -> not (drop r)) rows
 
+(* What a producer rule emitted for [case], in place of that case's
+   [metrics] rows: a row the rule leaves out is then absent. *)
+let replace_rows ~layer ~case ~metrics produced rows =
+  drop_rows (fun r -> r.case = case && List.mem r.metric metrics) rows
+  @ List.map
+      (fun (metric, v) -> { Ledger.layer; case; metric; value = Ledger.Num v })
+      produced
+
+(* A numeric row of a committed baseline. *)
+let baseline_num baseline_text ~case ~metric =
+  match Ledger.of_json baseline_text with
+  | Error msg -> Alcotest.fail msg
+  | Ok baseline -> (
+      match
+        List.find_opt
+          (fun (r : Ledger.row) -> r.case = case && r.metric = metric)
+          baseline.rows
+      with
+      | Some { value = Ledger.Num x; _ } -> x
+      | Some _ | None -> Alcotest.failf "no numeric %s row in %s" metric case)
+
 (* One domain's raw span events obey stack discipline: every end
    closes the innermost open span, and none stays open. *)
 let spans_balanced entries =

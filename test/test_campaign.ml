@@ -228,9 +228,61 @@ let test_sim_report_gate_catches_regressions () =
     (sim_gate
        (Fixtures.set_row ~case:protected_cell ~metric:"result_hash"
           (Ledger.Str "drifted")));
-  (* A missing cell is one violation. *)
+  (* A missing cell is one violation, and so is a missing exact row. *)
   one "sim/sim burst/removal D36_8@14: case missing"
-    (Fixtures.drop_rows (fun (r : Ledger.row) -> r.case = protected_cell))
+    (Fixtures.drop_rows (fun (r : Ledger.row) -> r.case = protected_cell));
+  one "burst/removal D36_8@14: delivered missing from current report"
+    (Fixtures.drop_rows (fun (r : Ledger.row) ->
+         r.case = protected_cell && r.metric = "delivered"))
+
+(* A removal-protected cell whose outcome says it deadlocked without a
+   certificate: Campaign.ledger derives the invariant rows from the
+   same predicates Campaign.verify checks, and each trips the gate. *)
+let test_sim_ledger_invariant_rows () =
+  let cells = Campaign.run Campaign.default_config (small_grid ()) in
+  let cell =
+    List.find (fun (c : Campaign.cell) -> Job.label c.job = protected_cell) cells
+  in
+  let set name v metrics = (name, v) :: List.remove_assoc name metrics in
+  let tampered =
+    {
+      cell with
+      outcome =
+        {
+          cell.outcome with
+          metrics =
+            set "deadlocked" 1. (set "certified" 0. cell.outcome.Outcome.metrics);
+        };
+    }
+  in
+  let rows = (Campaign.ledger [ tampered ]).Ledger.rows in
+  let flag metric =
+    match List.find_opt (fun (r : Ledger.row) -> r.metric = metric) rows with
+    | Some { value = Ledger.Num x; _ } -> x
+    | Some _ | None -> Alcotest.failf "no %s row" metric
+  in
+  check (Alcotest.float 0.) "deadlock_on_protected" 1. (flag "deadlock_on_protected");
+  check (Alcotest.float 0.) "deadlock_on_acyclic" 1. (flag "deadlock_on_acyclic");
+  check (Alcotest.float 0.) "deadlock_uncertified" 1. (flag "deadlock_uncertified");
+  check int_c "verify names the same three" 3
+    (List.length (Campaign.verify [ tampered ]).Campaign.violations);
+  let errors =
+    sim_gate (fun baseline ->
+        Fixtures.drop_rows (fun (r : Ledger.row) -> r.case = protected_cell) baseline
+        @ rows)
+  in
+  (* The exact deadlocked flag, plus one violation per invariant. *)
+  check int_c "four violations" 4 (List.length errors);
+  List.iter
+    (fun needle ->
+      check int_c needle 1
+        (List.length (List.filter (contains ~needle) errors)))
+    [
+      "deadlocked changed 0 -> 1";
+      "deadlock_on_protected 1 above the maximum 0";
+      "deadlock_on_acyclic 1 above the maximum 0";
+      "deadlock_uncertified 1 above the maximum 0";
+    ]
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -252,5 +304,6 @@ let () =
           tc "round-trip" test_sim_report_roundtrip;
           tc "gate passes on self" test_sim_report_gate_passes_on_self;
           tc "gate catches regressions" test_sim_report_gate_catches_regressions;
+          tc "ledger invariant rows" test_sim_ledger_invariant_rows;
         ] );
     ]

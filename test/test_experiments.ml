@@ -420,35 +420,79 @@ let test_removal_gate_vcs_drift () =
     (removal_gate
        (Fixtures.set_row ~case:"D36_8@14" ~metric:"vcs_added" (Ledger.Num 4.)))
 
+(* A case with its baseline [metric] row gone is one violation when
+   the metric gates exactly. *)
+let test_removal_gate_missing_row () =
+  Fixtures.one_violation
+    ~needle:"removal/D36_8@14: iterations missing from current report"
+    (removal_gate
+       (Fixtures.drop_rows (fun (r : Ledger.row) ->
+            r.case = "D36_8@14" && r.metric = "iterations")))
+
+(* An entry's timing rows as the producer emits them. *)
+let timed ~case ~incremental_ms ~rebuild_ms =
+  Fixtures.replace_rows ~layer:"removal" ~case
+    ~metrics:[ "incremental_ms"; "rebuild_ms"; "speedup" ]
+    (Bench_gates.removal_timing ~incremental_ms ~rebuild_ms)
+
 let test_removal_gate_speedup_regression () =
+  let base metric = Fixtures.baseline_num Baselines.removal ~case:"D36_8@35" ~metric in
   (* @35 times stably (rebuild >= 2 ms): 6.1x -> 4.1x is a 33% drop. *)
   Fixtures.one_violation ~needle:"D36_8@35: speedup dropped 6.10424 -> 4.0695"
     (removal_gate
-       (Fixtures.update_row ~case:"D36_8@35" ~metric:"speedup"
-          (Fixtures.scale (1. /. 1.5))));
+       (timed ~case:"D36_8@35"
+          ~incremental_ms:(1.5 *. base "incremental_ms")
+          ~rebuild_ms:(base "rebuild_ms")));
   (* A 20% drop is inside the 25% tolerance. *)
   no_violations
     (removal_gate
        (Fixtures.update_row ~case:"D36_8@35" ~metric:"speedup"
           (Fixtures.scale 0.8)));
-  (* Sub-2 ms rebuild arms report no speedup row: a baseline without
-     one compares nothing, and neither does a current report without
-     one. *)
+  (* A degenerate speedup is a drop, not a pass. *)
+  Fixtures.one_violation ~needle:"D36_8@35: speedup dropped 6.10424 -> nan"
+    (removal_gate
+       (Fixtures.set_row ~case:"D36_8@35" ~metric:"speedup" (Ledger.Num nan)));
+  (* The same collapse on a rebuild arm under 2 ms emits no speedup
+     row, so it is not judged; at 2 ms it is. *)
+  let incremental_ms = Fixtures.baseline_num Baselines.removal ~case:"D36_8@26" ~metric:"incremental_ms" in
+  no_violations (removal_gate (timed ~case:"D36_8@26" ~incremental_ms ~rebuild_ms:1.9));
+  Fixtures.one_violation ~needle:"D36_8@26: speedup dropped"
+    (removal_gate (timed ~case:"D36_8@26" ~incremental_ms ~rebuild_ms:2.0));
+  (* A baseline without a speedup row compares nothing against one. *)
   no_violations
     (removal_gate
        (Fixtures.add_row ~layer:"removal" ~case:"D36_8@18" ~metric:"speedup"
-          (Ledger.Num 1.)));
-  no_violations
-    (removal_gate
-       (Fixtures.drop_rows (fun (r : Ledger.row) ->
-            r.case = "D36_8@26" && r.metric = "speedup")))
+          (Ledger.Num 1.)))
+
+(* The D36_8 aggregate row as the producer emits it from the sweep's
+   arm times, with @18's incremental arm scaled by [slow_18]. *)
+let aggregate ~slow_18 =
+  let sum metric =
+    List.fold_left
+      (fun acc n ->
+        let case = Printf.sprintf "D36_8@%d" n in
+        let ms = Fixtures.baseline_num Baselines.removal ~case ~metric in
+        acc +. if n = 18 && metric = "incremental_ms" then slow_18 *. ms else ms)
+      0. [ 10; 14; 18; 22; 26; 30; 35 ]
+  in
+  (sum "incremental_ms", sum "rebuild_ms")
 
 let test_removal_gate_aggregate_floor () =
+  let emit (incremental_ms, rebuild_ms) =
+    removal_gate
+      (Fixtures.replace_rows ~layer:"removal" ~case:"D36_8"
+         ~metrics:[ "aggregate_speedup" ]
+         (Bench_gates.removal_aggregate ~incremental_ms ~rebuild_ms))
+  in
+  no_violations (emit (aggregate ~slow_18:1.));
+  (* @18's rebuild arm is too small for a per-entry row, so only the
+     aggregate floor catches a 10x slowdown there. *)
   Fixtures.one_violation
-    ~needle:"removal/D36_8: aggregate_speedup 2.83 below the minimum 4"
-    (removal_gate
-       (Fixtures.set_row ~case:"D36_8" ~metric:"aggregate_speedup"
-          (Ledger.Num 2.83)))
+    ~needle:"removal/D36_8: aggregate_speedup 2.82782 below the minimum 4"
+    (emit (aggregate ~slow_18:10.));
+  (* No incremental time, no ratio: the aggregate case goes missing. *)
+  Fixtures.one_violation ~needle:"removal/D36_8: case missing"
+    (emit (0., snd (aggregate ~slow_18:1.)))
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -504,6 +548,7 @@ let () =
           tc "gate: missing entry" test_removal_gate_missing_entry;
           tc "gate: iterations drift" test_removal_gate_iterations_drift;
           tc "gate: vcs_added drift" test_removal_gate_vcs_drift;
+          tc "gate: missing row" test_removal_gate_missing_row;
           tc "gate: speedup regression" test_removal_gate_speedup_regression;
           tc "gate: aggregate floor" test_removal_gate_aggregate_floor;
         ] );

@@ -968,10 +968,6 @@ module Ledger = Noc_obs.Ledger
 let service_gate = Fixtures.ledger_gate Baselines.service
 let no_violations = check (Alcotest.list string_c) "no violations" []
 
-(* A row the producer emits only where it was measured. *)
-let measured case metric v =
-  Fixtures.add_row ~layer:"service" ~case ~metric (Ledger.Num v)
-
 let test_service_gate_passes_on_baseline () = no_violations (service_gate Fun.id)
 
 let test_service_gate_missing_job () =
@@ -985,7 +981,12 @@ let test_service_gate_result_drift () =
     ~needle:"removal D26_media@14: result_hash changed bfb5f9abb5d2cf5138621804f56146e6 -> 0"
     (service_gate
        (Fixtures.set_row ~case:"removal D26_media@14" ~metric:"result_hash"
-          (Ledger.Str "0")))
+          (Ledger.Str "0")));
+  Fixtures.one_violation
+    ~needle:"removal D26_media@14: result_hash missing from current report"
+    (service_gate
+       (Fixtures.drop_rows (fun (r : Ledger.row) ->
+            r.case = "removal D26_media@14" && r.metric = "result_hash")))
 
 let test_service_gate_replay () =
   Fixtures.one_violation ~needle:"replay: hit_rate 0.9 below the minimum 1"
@@ -1002,32 +1003,54 @@ let test_service_gate_no_sequential_timing () =
     (service_gate
        (Fixtures.drop_rows (fun (r : Ledger.row) -> r.case = "1-domain")))
 
+(* The collector arms as the producer emits them on [host_cores]. *)
+let collector ~host_cores ~off_ms ~on_ms =
+  Fixtures.replace_rows ~layer:"service" ~case:"collector" ~metrics:[]
+    (Noc_experiments.Bench_gates.collector ~host_cores ~off_ms ~on_ms)
+
 let test_service_gate_collector_overhead () =
   Fixtures.one_violation ~needle:"collector: overhead 0.1 above the maximum 0.03"
-    (service_gate (measured "collector" "overhead" 0.1));
+    (service_gate (collector ~host_cores:2 ~off_ms:100. ~on_ms:110.));
   (* Within the 3% limit. *)
-  no_violations (service_gate (measured "collector" "overhead" 0.02));
-  (* The raw arms alone are reported, not gated: on one core, or within
-     the 5 ms slack, the producer emits no overhead row. *)
-  no_violations
-    (service_gate (fun rows ->
-         measured "collector" "on_wall_ms" 110.
-           (measured "collector" "off_wall_ms" 100. rows)))
+  no_violations (service_gate (collector ~host_cores:2 ~off_ms:300. ~on_ms:306.));
+  (* On one core the collector domain steals time by construction. *)
+  no_violations (service_gate (collector ~host_cores:1 ~off_ms:100. ~on_ms:110.));
+  (* 8% over, but only 4 ms: scheduler noise on a short run. *)
+  no_violations (service_gate (collector ~host_cores:2 ~off_ms:50. ~on_ms:54.))
+
+(* The batch arms an [n]-core host times, as the producer emits them,
+   the N-domain arm at [speedup N] over the baseline's cold arm. *)
+let on_host n speedup rows =
+  let cold_ms =
+    Fixtures.baseline_num Baselines.service ~case:"1-domain" ~metric:"wall_ms"
+  in
+  List.fold_left
+    (fun rows domains ->
+      if domains = 1 then rows
+      else
+        Fixtures.replace_rows ~layer:"service"
+          ~case:(Printf.sprintf "%d-domain" domains)
+          ~metrics:[]
+          (Noc_experiments.Bench_gates.domain_arm ~domains ~jobs:54 ~cold_ms
+             ~wall_ms:(cold_ms /. speedup domains))
+          rows)
+    rows
+    (Noc_experiments.Bench_gates.domain_arms ~host_cores:n)
 
 let test_service_gate_speedup_floors () =
   Fixtures.one_violation
     ~needle:"2-domain: speedup_2_domains 1.2 below the minimum 1.6"
-    (service_gate (measured "2-domain" "speedup_2_domains" 1.2));
+    (service_gate (on_host 2 (fun _ -> 1.2)));
   Fixtures.one_violation
     ~needle:"4-domain: speedup_4_domains 2 below the minimum 2.5"
-    (service_gate (fun rows ->
-         measured "4-domain" "speedup_4_domains" 2.
-           (measured "2-domain" "speedup_2_domains" 2. rows)));
-  (* The floors hold on any baseline, including this 1-core one. *)
-  no_violations
-    (service_gate (fun rows ->
-         measured "4-domain" "speedup_4_domains" 2.6
-           (measured "2-domain" "speedup_2_domains" 1.7 rows)))
+    (service_gate (on_host 4 (fun _ -> 2.)));
+  (* A host times an arm only with the cores for it, so a floor is
+     judged only there. *)
+  check Alcotest.(list int) "2-domain arm on a 2-core host" [ 1; 2 ]
+    (Noc_experiments.Bench_gates.domain_arms ~host_cores:2);
+  no_violations (service_gate (on_host 1 (fun _ -> 1.2)));
+  no_violations (service_gate (on_host 2 (function 2 -> 2. | _ -> 1.)));
+  no_violations (service_gate (on_host 4 (function 2 -> 1.7 | _ -> 2.6)))
 
 (* ------------------------------------------------------------------ *)
 
