@@ -502,24 +502,25 @@ let service_ledger () =
              (Format.asprintf "%a" Outcome.pp r.Batch.outcome)))
     reference;
   let reference_hashes = hashes reference in
-  let timing domains =
-    (* Fresh cache per arm: within one batch the duplicate-free job
-       list makes every lookup a miss, so this times real solver work.
-       Min over repetitions, like the removal bench. *)
+  (* Min wall time over three batches, like the removal bench, each
+     with a fresh store: within one batch the duplicate-free job list
+     makes every lookup a miss, so this times real solver work. *)
+  let best_wall_ms ~domains arm =
     let best = ref infinity in
     for _ = 1 to 3 do
       let results, summary =
-        run_batch ~domains ~cache:(Some (Result_cache.create ~capacity:256)) jobs
+        run_batch ~domains ~cache:(Some (Store.memory ~capacity:256)) jobs
       in
       if hashes results <> reference_hashes then
         failwith
           (Printf.sprintf
-             "service bench: %d-domain batch diverged from the sequential \
-              reference"
-             domains);
+             "service bench: %s diverged from the sequential reference" arm);
       if summary.Batch.wall_ms < !best then best := summary.Batch.wall_ms
     done;
-    (domains, !best)
+    !best
+  in
+  let timing domains =
+    (domains, best_wall_ms ~domains (Printf.sprintf "%d-domain batch" domains))
   in
   let host_cores = Domain.recommended_domain_count () in
   let timings = List.map timing (Gates.domain_arms ~host_cores) in
@@ -531,22 +532,7 @@ let service_ledger () =
      being measured, not the one-time domain spawn — and min over
      repetitions discards scheduler noise like the other arms. *)
   let collector_arm with_collector =
-    let reps () =
-      let best = ref infinity in
-      for _ = 1 to 3 do
-        let results, summary =
-          run_batch ~domains:1
-            ~cache:(Some (Result_cache.create ~capacity:256))
-            jobs
-        in
-        if hashes results <> reference_hashes then
-          failwith
-            "service bench: collector arm diverged from the sequential \
-             reference";
-        if summary.Batch.wall_ms < !best then best := summary.Batch.wall_ms
-      done;
-      !best
-    in
+    let reps () = best_wall_ms ~domains:1 "collector arm" in
     if with_collector then begin
       let series = Noc_obs.Series.create ~interval_s:0.05 ~window:1200 () in
       let collector = Noc_obs.Series.start series in
@@ -557,15 +543,15 @@ let service_ledger () =
   let collector_off_wall_ms = collector_arm false in
   let collector_on_wall_ms = collector_arm true in
   (* Warm replay: populate a cache, reset its counters, run again. *)
-  let cache = Result_cache.create ~capacity:256 in
+  let cache = Store.memory ~capacity:256 in
   let _ = run_batch ~domains:1 ~cache:(Some cache) jobs in
-  Result_cache.reset_counters cache;
+  Store.reset_counters cache;
   let replay_results, replay_summary =
     run_batch ~domains:1 ~cache:(Some cache) jobs
   in
   if hashes replay_results <> reference_hashes then
     failwith "service bench: warm replay diverged from the sequential reference";
-  let replay_stats = Result_cache.stats cache in
+  let replay_stats = Store.stats cache in
   let row case (metric, value) =
     { Ledger.layer = "service"; case; metric; value }
   in
@@ -594,7 +580,7 @@ let service_ledger () =
       @ List.map (num "replay")
           [
             ("wall_ms", replay_summary.Batch.wall_ms);
-            ("hit_rate", Result_cache.hit_rate replay_stats);
+            ("hit_rate", Store.hit_rate replay_stats);
             ("fraction_of_cold", replay_summary.Batch.wall_ms /. cold_ms);
           ]
       @ List.map (num "collector")

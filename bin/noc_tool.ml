@@ -1044,7 +1044,7 @@ let batch_cmd =
         Batch.domains;
         cache =
           (if cache_size = 0 then None
-           else Some (Result_cache.create ~capacity:cache_size));
+           else Some (Store.memory ~capacity:cache_size));
         telemetry = sink;
         timeout_ms;
         fail_fast;
@@ -1155,7 +1155,7 @@ let serve_cmd =
                    text format v0.0.4, including the noc_slo_ok verdict \
                    gauges) on 127.0.0.1:$(docv).")
   in
-  let run () socket tcp metrics_addr domains queue store no_store
+  let run () socket tcp metrics_addr domains queue store_dir no_store
       store_capacity telemetry no_lint slo_overrides trace =
     let open Noc_service in
     if domains < 1 then or_die (Error "--domains must be at least 1");
@@ -1165,7 +1165,7 @@ let serve_cmd =
     let store =
       if no_store then None
       else
-        match Store.create ~root:store ~capacity:store_capacity with
+        match Store.create ~root:store_dir ~capacity:store_capacity with
         | s -> Some s
         | exception Sys_error e -> or_die (Error e)
         | exception Unix.Unix_error (e, _, arg) ->
@@ -1189,8 +1189,6 @@ let serve_cmd =
         telemetry = sink;
         lint = not no_lint;
         slos = apply_slo_overrides slo_overrides;
-        series_interval_s = Server.default_config.Server.series_interval_s;
-        series_window = Server.default_config.Server.series_window;
       }
     in
     let server = Server.create config in
@@ -1209,7 +1207,7 @@ let serve_cmd =
       (if domains = 1 then "" else "s")
       (match store with
       | None -> "disabled"
-      | Some s -> Printf.sprintf "%s (%d warm)" (Store.root s)
+      | Some s -> Printf.sprintf "%s (%d warm)" store_dir
                     (Store.stats s).Store.entries);
     Format.print_flush ();
     (try with_tracing trace (fun () -> Server.run server)

@@ -1,10 +1,10 @@
 (* A campaign is a grid of Simulate jobs plus the machinery to run it
    at fleet scale: jobs flow through the ordinary batch engine (so the
-   lint gate, the result cache, telemetry and obs spans all apply),
-   warm results are served from the persistent store and fresh ones
-   written back, and the finished cells are checked against the paper's
-   behavioural claim — an acyclic CDG never deadlocks; an unprotected
-   cyclic one does, with a certificate. *)
+   lint gate, the result store, telemetry and obs spans all apply),
+   with the persistent store as its cache when there is one, and the
+   finished cells are checked against the paper's behavioural claim —
+   an acyclic CDG never deadlocks; an unprotected cyclic one does, with
+   a certificate. *)
 
 open Noc_service
 
@@ -62,54 +62,34 @@ let observe_cell cell =
   Noc_obs.Metrics.observe (Lazy.force cell_ms) cell.outcome.Outcome.wall_ms
 
 let run ?(on_cell = fun (_ : cell) -> ()) config jobs =
-  if config.domains < 1 then invalid_arg "Campaign.run: domains < 1";
-  let on_cell cell =
-    observe_cell cell;
-    on_cell cell
+  let cell (r : Batch.job_result) =
+    { job = r.Batch.job; outcome = r.Batch.outcome; cached = r.Batch.cache_hit }
   in
-  (* Serve what the store already knows (the resume path), then batch
-     the rest and write fresh deterministic results back. *)
-  let warm, cold =
-    List.partition_map
-      (fun job ->
-        match Option.bind config.store (fun s -> Store.find s (Job.hash job)) with
-        | Some outcome -> Left { job; outcome; cached = true }
-        | None -> Right job)
-      jobs
+  (* The store, or a throwaway one sized to the grid, is the batch's
+     cache: hits skip simulation (the resume path), fresh deterministic
+     results are written back. *)
+  let cache =
+    match config.store with
+    | Some store -> store
+    | None -> Store.memory ~capacity:(max 1 (List.length jobs))
   in
-  List.iter on_cell warm;
   let results, _summary =
     Batch.run
-      ~on_result:(fun (r : Batch.job_result) ->
-        on_cell { job = r.Batch.job; outcome = r.Batch.outcome; cached = false })
+      ~on_result:(fun r ->
+        let c = cell r in
+        observe_cell c;
+        on_cell c)
       {
-        Batch.domains = config.domains;
-        cache = Some (Result_cache.create ~capacity:(max 1 (List.length jobs)));
-        telemetry = Noc_obs.Sink.null;
-        timeout_ms = None;
-        fail_fast = false;
+        Batch.default_config with
+        domains = config.domains;
+        cache = Some cache;
         lint = config.lint;
       }
-      cold
+      jobs
   in
-  let fresh =
-    List.map
-      (fun (r : Batch.job_result) ->
-        (match config.store with
-        | Some s when Outcome.is_done r.Batch.outcome ->
-            ignore (Store.store s (Job.hash r.Batch.job) r.Batch.outcome)
-        | Some _ | None -> ());
-        { job = r.Batch.job; outcome = r.Batch.outcome; cached = false })
-      results
-  in
-  Option.iter Store.flush config.store;
-  (* Reassemble in grid order so reports are stable however the cells
-     were obtained. *)
-  let by_hash = Hashtbl.create (List.length jobs) in
-  List.iter
-    (fun c -> Hashtbl.replace by_hash (Job.hash c.job) c)
-    (warm @ fresh);
-  List.filter_map (fun job -> Hashtbl.find_opt by_hash (Job.hash job)) jobs
+  (* Hits refresh recency without writing the index. *)
+  Store.flush cache;
+  List.map cell results
 
 (* ------------------------------------------------------------------ *)
 (* Cell accessors                                                      *)

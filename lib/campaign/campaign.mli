@@ -4,9 +4,9 @@
 
     A campaign is just a grid of {!Noc_service.Job.Simulate} jobs, so
     it inherits the whole service stack: the lint admission gate, the
-    multicore batch engine, content-addressed caching, and — when a
-    {!Noc_service.Store.t} is supplied — persistent warm results that
-    make an interrupted campaign resumable.
+    multicore batch engine, and the content-addressed result store —
+    on disk when one is supplied, so an interrupted campaign resumes
+    warm.
 
     The invariants {!verify} checks, cell by cell:
     - a design prepared by removal or resource ordering never reports
@@ -39,7 +39,10 @@ val grid :
 type cell = {
   job : Job.t;
   outcome : Outcome.t;
-  cached : bool;  (** Served warm from the store (the resume path). *)
+  cached : bool;
+      (** A store hit ({!Batch.job_result}'s [cache_hit]): the resume
+          path, or a job repeated in the grid whose twin finished
+          first. *)
 }
 
 type config = {
@@ -54,9 +57,13 @@ val default_config : config
 (** 1 domain, no store, lint on. *)
 
 val run : ?on_cell:(cell -> unit) -> config -> Job.t list -> cell list
-(** Run the grid: store hits first (flagged [cached]), the rest through
-    {!Batch.run}.  [on_cell] streams cells as they resolve; the
-    returned list is in grid order regardless.
+(** Run the grid as one {!Batch.run} with [config.store] as its cache,
+    or an in-memory store sized to the grid when there is none.  Every
+    cell, warm or cold, passes the lint gate.  A warm cell (flagged
+    [cached]) carries the stored outcome unchanged, including the
+    original run's [wall_ms].  [on_cell] streams cells in grid order as
+    each finishes; the returned list is in grid order too, so a
+    partial resume interleaves warm and fresh cells.
     @raise Invalid_argument when [config.domains < 1]. *)
 
 (** {1 Cell accessors} *)

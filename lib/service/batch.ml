@@ -1,5 +1,5 @@
 (* The batch engine: submit a job list through the domain pool, consult
-   the content-addressed cache first, emit telemetry along the way, and
+   the content-addressed store first, emit telemetry along the way, and
    hand results back in submission order regardless of completion
    order.  The per-job work (Runner.execute) is deterministic and
    isolated, so the only ordering the engine must impose is on the
@@ -8,7 +8,7 @@
 
 type config = {
   domains : int;
-  cache : Result_cache.t option;
+  cache : Store.t option;
   telemetry : Noc_obs.Sink.t;
   timeout_ms : float option;
   fail_fast : bool;
@@ -79,12 +79,30 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
         jobs
     else Array.make n None
   in
+  (* Store lookups happen up front as well, before any result is
+     written back: in a store smaller than the batch, the misses'
+     write-backs would otherwise evict warm entries ahead of their turn.
+     The first job of each hash gets [Some found]; a repeat looks up at
+     its own turn ([None]), so it hits when its twin finished first. *)
+  let hashes = Array.map Job.hash jobs in
+  let looked_up = Array.make n None in
+  Option.iter
+    (fun cache ->
+      let seen = Hashtbl.create n in
+      Array.iteri
+        (fun index hash ->
+          if vetoed.(index) = None && not (Hashtbl.mem seen hash) then begin
+            Hashtbl.replace seen hash ();
+            looked_up.(index) <- Some (Store.find cache hash)
+          end)
+        hashes)
+    config.cache;
   config.telemetry.Noc_obs.Sink.emit
     (Telemetry.batch_started ~jobs:n ~domains:config.domains
        ~cache_capacity:
          (match config.cache with
          | None -> 0
-         | Some cache -> Result_cache.capacity cache));
+         | Some cache -> Store.capacity cache));
   let results = Array.make n None in
   let mutex = Mutex.create () in
   let all_done = Condition.create () in
@@ -128,27 +146,27 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
           ]
       @@ fun job_sp ->
       config.telemetry.Noc_obs.Sink.emit (Telemetry.job_started ~index ~job ());
-      let hash = Job.hash job in
+      let hash = hashes.(index) in
       let outcome, cache_hit =
         match config.cache with
         | None -> (Runner.execute job, false)
         | Some cache -> (
-            let lookup_t0 = Unix.gettimeofday () in
-            match Result_cache.find cache hash with
-            | Some cached ->
-                (* Metrics are the original run's; the wall time is the
-                   (near-zero) lookup time of this run. *)
-                let wall_ms = 1000. *. (Unix.gettimeofday () -. lookup_t0) in
-                ({ cached with Outcome.wall_ms }, true)
+            let found =
+              match looked_up.(index) with
+              | Some found -> found
+              | None -> Store.find cache hash
+            in
+            match found with
+            | Some cached -> (cached, true)
             | None ->
                 let outcome = Runner.execute job in
                 if Outcome.is_done outcome then begin
-                  let evicted = Result_cache.store cache hash outcome in
+                  let evicted = Store.store cache hash outcome in
                   if evicted then
-                    let s = Result_cache.stats cache in
+                    let s = Store.stats cache in
                     config.telemetry.Noc_obs.Sink.emit
-                      (Telemetry.cache_evicted ~entries:s.Result_cache.entries
-                         ~capacity:(Result_cache.capacity cache))
+                      (Telemetry.cache_evicted ~entries:s.Store.entries
+                         ~capacity:(Store.capacity cache))
                 end;
                 (outcome, false))
       in
@@ -224,10 +242,10 @@ let run ?(on_result = fun _ -> ()) (config : config) jobs =
   in
   let cache_stats =
     match config.cache with
-    | Some cache -> Result_cache.stats cache
+    | Some cache -> Store.stats cache
     | None ->
         {
-          Result_cache.hits = summary.cache_hits;
+          Store.hits = summary.cache_hits;
           misses = summary.total - summary.cache_hits - summary.cancelled;
           evictions = 0;
           entries = 0;

@@ -1,5 +1,5 @@
 (** The batch engine: runs a job list through a {!Noc_pool.Pool},
-    consulting the content-addressed {!Result_cache} first and emitting
+    consulting the content-addressed {!Store} first and emitting
     {!Telemetry} along the way.
 
     Determinism contract: the returned list and the [on_result] stream
@@ -9,9 +9,13 @@
 
 type config = {
   domains : int;  (** [1] runs inline in the calling domain. *)
-  cache : Result_cache.t option;
-      (** Shared across the batch's workers; pass the same cache to a
-          second [run] to measure warm replay. *)
+  cache : Store.t option;
+      (** Shared across the batch's workers; pass the same store to a
+          second [run] to measure warm replay.  Every job that passed
+          the lint gate is looked up before any result is written back
+          (a repeated job at its own turn, so it hits when its twin
+          finished first).  A hit returns the stored outcome unchanged,
+          wall time included; finished results are written back. *)
   telemetry : Noc_obs.Sink.t;  (** Closed when the batch finishes. *)
   timeout_ms : float option;
       (** Per-job budget.  OCaml computations cannot be interrupted, so

@@ -71,6 +71,11 @@ let serve_metrics =
          Noc_obs.Metrics.histogram "noc_serve_submit_to_result_ms";
      })
 
+(* The metrics collector samples the registry once a second and keeps
+   two minutes of points per series for {!Wire.Metrics} replies. *)
+let series_interval_s = 1.
+let series_window = 120
+
 type config = {
   socket_path : string;
   tcp_port : int option;  (* loopback, for clients that cannot speak AF_UNIX *)
@@ -82,8 +87,6 @@ type config = {
   telemetry : Noc_obs.Sink.t;
   lint : bool;
   slos : Noc_obs.Slo.t list;
-  series_interval_s : float;
-  series_window : int;
 }
 
 let default_config =
@@ -97,8 +100,6 @@ let default_config =
     telemetry = Noc_obs.Sink.null;
     lint = true;
     slos = Noc_obs.Slo.defaults;
-    series_interval_s = 1.;
-    series_window = 120;
   }
 
 type conn = {
@@ -135,9 +136,7 @@ let create config =
     pool =
       Noc_pool.Pool.create ~queue_capacity:config.queue_capacity
         ~domains:config.domains ();
-    series =
-      Noc_obs.Series.create ~interval_s:config.series_interval_s
-        ~window:config.series_window ();
+    series = Noc_obs.Series.create ~interval_s:series_interval_s ~window:series_window ();
     stopping = Atomic.make false;
     wake_r;
     wake_w;

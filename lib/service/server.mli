@@ -27,14 +27,13 @@ type config = {
   slos : Noc_obs.Slo.t list;
       (** Objectives evaluated on every scrape and {!Wire.Metrics}
           reply; verdicts are exported as [noc_slo_ok] gauges. *)
-  series_interval_s : float;  (** Collector sampling period (s). *)
-  series_window : int;  (** Ring-buffer points kept per series. *)
 }
 
 val default_config : config
 (** [noc-serve.sock], no TCP, 2 domains, queue 64, no store, null
-    telemetry, lint on, no metrics listener, {!Noc_obs.Slo.defaults},
-    1 s series sampling over a 120-point window. *)
+    telemetry, lint on, no metrics listener, {!Noc_obs.Slo.defaults}.
+    The metrics collector always samples every 1 s over a 120-point
+    window. *)
 
 type t
 

@@ -1,6 +1,9 @@
-(* Persistent content-addressed result store: the disk-backed
-   successor of the in-memory Result_cache, so warm hits survive
-   daemon restarts.
+(* Content-addressed result store: job hash -> outcome, LRU-bounded,
+   shared across worker domains (hence the mutex: the table and the
+   recency list must move together).  One store serves every caller;
+   an entry's slot says where its outcome lives.  In memory the slot
+   holds the outcome.  On disk it holds the object file's path, so
+   warm hits survive daemon restarts.
 
    Layout under the root directory:
 
@@ -19,27 +22,27 @@
    object and reports a miss, so one corrupted file costs one recompute
    rather than poisoning results. *)
 
-(* Lazy for the same reason as Result_cache: only processes that open
-   a store should carry its counter in their metric registry. *)
-let evictions_total = lazy (Noc_obs.Metrics.counter "noc_store_evictions_total")
-let hits_total = lazy (Noc_obs.Metrics.counter "noc_store_hits_total")
-let lookups_total = lazy (Noc_obs.Metrics.counter "noc_store_lookups_total")
-
 let object_schema = "noc-store/1"
 let index_schema = "noc-store-index/1"
 
+type slot = In_memory of Outcome.t | On_disk of string  (* object path *)
+
 type t = {
-  root : string;
+  root : string option;  (* [None]: the outcomes live in [table] *)
   capacity : int;
-  (* Key set and recency move together under the mutex, exactly like
-     Result_cache; the disk adds durability, not a new concurrency
-     story. *)
-  table : (string, unit) Hashtbl.t;
-  mutable recency : string list;  (* most recent first *)
+  table : (string, slot) Hashtbl.t;
+  (* Most recent first.  A plain list is fine: capacities are a few
+     thousand at most, and every operation already takes the mutex. *)
+  mutable recency : string list;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutex : Mutex.t;
+  (* Registered by the constructor, in the creating domain: workers
+     only bump them, so their first lookups cannot race on creation. *)
+  lookups_total : Noc_obs.Metrics.counter;
+  hits_total : Noc_obs.Metrics.counter;
+  evictions_total : Noc_obs.Metrics.counter;
 }
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
@@ -56,13 +59,12 @@ let is_hex s = String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> f
 
 let valid_key key = String.length key >= 3 && is_hex key
 
-let objects_dir t = Filename.concat t.root "objects"
-let index_path t = Filename.concat t.root "index.json"
+let objects_dir root = Filename.concat root "objects"
+let index_path root = Filename.concat root "index.json"
 
-let shard_dir t key = Filename.concat (objects_dir t) (String.sub key 0 2)
-
-let object_path t key =
-  Filename.concat (shard_dir t key)
+let object_path root key =
+  Filename.concat
+    (Filename.concat (objects_dir root) (String.sub key 0 2))
     (String.sub key 2 (String.length key - 2) ^ ".json")
 
 let ensure_dir path =
@@ -99,8 +101,13 @@ let index_json t =
    under us) are swallowed: the index is reconstructible by a rescan,
    so losing a flush must never take a job down with it. *)
 let flush_index t =
-  try write_atomic ~dir:t.root ~path:(index_path t) (Json.to_string (index_json t) ^ "\n")
-  with Sys_error _ -> ()
+  match t.root with
+  | None -> ()
+  | Some root -> (
+      try
+        write_atomic ~dir:root ~path:(index_path root)
+          (Json.to_string (index_json t) ^ "\n")
+      with Sys_error _ -> ())
 
 let load_index path =
   match read_file path with
@@ -142,27 +149,44 @@ let scan_objects dir =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let make ~root ~capacity =
+  if capacity < 1 then invalid_arg "Store: capacity < 1";
+  {
+    root;
+    capacity;
+    table = Hashtbl.create (min capacity 64);
+    recency = [];
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    mutex = Mutex.create ();
+    lookups_total = Noc_obs.Metrics.counter "noc_store_lookups_total";
+    hits_total = Noc_obs.Metrics.counter "noc_store_hits_total";
+    evictions_total = Noc_obs.Metrics.counter "noc_store_evictions_total";
+  }
+
+let memory ~capacity = make ~root:None ~capacity
+
+(* Under the mutex.  Drops the entry and, on disk, its file. *)
+let drop t key =
+  (match Hashtbl.find_opt t.table key with
+  | Some (On_disk path) -> ( try Sys.remove path with Sys_error _ -> ())
+  | Some (In_memory _) | None -> ());
+  Hashtbl.remove t.table key
+
+let evict t key =
+  drop t key;
+  t.evictions <- t.evictions + 1;
+  Noc_obs.Metrics.incr t.evictions_total
+
 let create ~root ~capacity =
-  if capacity < 1 then invalid_arg "Store.create: capacity < 1";
-  ignore (Lazy.force evictions_total);
+  let t = make ~root:(Some root) ~capacity in
   ensure_dir root;
-  let t =
-    {
-      root;
-      capacity;
-      table = Hashtbl.create 64;
-      recency = [];
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      mutex = Mutex.create ();
-    }
-  in
-  ensure_dir (objects_dir t);
+  ensure_dir (objects_dir root);
   let indexed =
-    match load_index (index_path t) with
+    match load_index (index_path root) with
     | Some keys -> keys
-    | None -> scan_objects (objects_dir t)
+    | None -> scan_objects (objects_dir root)
   in
   (* Integrity check on load: keep only entries whose object file is
      actually present (newest first, dedup'd); deep validation of the
@@ -170,16 +194,21 @@ let create ~root ~capacity =
   let keys =
     List.filter
       (fun key ->
-        (not (Hashtbl.mem t.table key)) && Sys.file_exists (object_path t key)
-        && (Hashtbl.replace t.table key ();
+        let path = object_path root key in
+        (not (Hashtbl.mem t.table key)) && Sys.file_exists path
+        && (Hashtbl.replace t.table key (On_disk path);
             true))
       indexed
   in
-  t.recency <- keys;
+  (* A store reopened with a smaller capacity sheds its oldest
+     entries now, not one per later insert. *)
+  t.recency <- List.filteri (fun i _ -> i < capacity) keys;
+  let beyond = List.filteri (fun i _ -> i >= capacity) keys in
+  List.iter (evict t) beyond;
+  if beyond <> [] then flush_index t;
   t
 
 let capacity t = t.capacity
-let root t = t.root
 
 (* ------------------------------------------------------------------ *)
 (* Lookup and insert                                                   *)
@@ -187,11 +216,9 @@ let root t = t.root
 
 let touch t key = t.recency <- key :: List.filter (fun k -> k <> key) t.recency
 
-(* Under the mutex.  Drops the entry and its file. *)
 let forget t key =
-  Hashtbl.remove t.table key;
-  t.recency <- List.filter (fun k -> k <> key) t.recency;
-  try Sys.remove (object_path t key) with Sys_error _ -> ()
+  drop t key;
+  t.recency <- List.filter (fun k -> k <> key) t.recency
 
 let decode_object ~key text =
   match Json.of_string text with
@@ -208,32 +235,29 @@ let decode_object ~key text =
       | _ -> Error "missing schema or job_hash")
 
 let find t key =
-  Noc_obs.Metrics.incr (Lazy.force lookups_total);
+  Noc_obs.Metrics.incr t.lookups_total;
   locked t (fun () ->
-      if not (Hashtbl.mem t.table key) then begin
-        t.misses <- t.misses + 1;
-        None
-      end
-      else
-        match read_file (object_path t key) with
-        | exception Sys_error _ ->
-            forget t key;
-            t.misses <- t.misses + 1;
-            None
-        | text -> (
-            match decode_object ~key text with
-            | Ok outcome ->
-                t.hits <- t.hits + 1;
-                Noc_obs.Metrics.incr (Lazy.force hits_total);
-                touch t key;
-                Some outcome
-            | Error _ ->
-                (* Corrupt object: evict it so the next run recomputes
-                   and rewrites, instead of failing forever. *)
+      let found =
+        match Hashtbl.find_opt t.table key with
+        | None -> None
+        | Some (In_memory outcome) -> Some outcome
+        | Some (On_disk path) -> (
+            match decode_object ~key (read_file path) with
+            | Ok outcome -> Some outcome
+            | Error _ | (exception Sys_error _) ->
+                (* Missing or corrupt object: forget it so the next run
+                   recomputes and rewrites, instead of failing forever. *)
                 forget t key;
                 flush_index t;
-                t.misses <- t.misses + 1;
-                None))
+                None)
+      in
+      (match found with
+      | Some _ ->
+          t.hits <- t.hits + 1;
+          Noc_obs.Metrics.incr t.hits_total;
+          touch t key
+      | None -> t.misses <- t.misses + 1);
+      found)
 
 let object_json ~key outcome =
   Json.Obj
@@ -246,24 +270,27 @@ let object_json ~key outcome =
 let store t key outcome =
   if not (valid_key key) then invalid_arg "Store.store: not a hex job hash";
   locked t (fun () ->
-      let dir = shard_dir t key in
-      ensure_dir dir;
-      write_atomic ~dir ~path:(object_path t key)
-        (Json.to_string (object_json ~key outcome) ^ "\n");
-      if not (Hashtbl.mem t.table key) then Hashtbl.replace t.table key ();
-      touch t key;
-      let evicted =
-        if Hashtbl.length t.table > t.capacity then begin
-          match List.rev t.recency with
-          | [] -> assert false
-          | oldest :: _ ->
-              forget t oldest;
-              t.evictions <- t.evictions + 1;
-              Noc_obs.Metrics.incr (Lazy.force evictions_total);
-              true
-        end
-        else false
+      let slot =
+        match t.root with
+        | None -> In_memory outcome
+        | Some root ->
+            let path = object_path root key in
+            let dir = Filename.dirname path in
+            ensure_dir dir;
+            write_atomic ~dir ~path
+              (Json.to_string (object_json ~key outcome) ^ "\n");
+            On_disk path
       in
+      Hashtbl.replace t.table key slot;
+      touch t key;
+      let evicted = Hashtbl.length t.table > t.capacity in
+      if evicted then begin
+        match List.rev t.recency with
+        | [] -> assert false
+        | oldest :: newer ->
+            evict t oldest;
+            t.recency <- List.rev newer
+      end;
       flush_index t;
       evicted)
 
@@ -291,15 +318,3 @@ let reset_counters t =
       t.evictions <- 0)
 
 let flush t = locked t (fun () -> flush_index t)
-
-let pp_stats ppf s =
-  Format.fprintf ppf "%d hit%s / %d miss%s (%.0f%%), %d entr%s on disk, %d eviction%s"
-    s.hits
-    (if s.hits = 1 then "" else "s")
-    s.misses
-    (if s.misses = 1 then "" else "es")
-    (100. *. hit_rate s)
-    s.entries
-    (if s.entries = 1 then "y" else "ies")
-    s.evictions
-    (if s.evictions = 1 then "" else "s")

@@ -106,7 +106,7 @@ let batch_finished ~wall_ms ~succeeded ~failed ~cancelled ~cache_stats =
       ("succeeded", Json.Num (float_of_int succeeded));
       ("failed", Json.Num (float_of_int failed));
       ("cancelled", Json.Num (float_of_int cancelled));
-      ("cache_hits", Json.Num (float_of_int cache_stats.Result_cache.hits));
-      ("cache_misses", Json.Num (float_of_int cache_stats.Result_cache.misses));
-      ("cache_hit_rate", Json.Num (Result_cache.hit_rate cache_stats));
+      ("cache_hits", Json.Num (float_of_int cache_stats.Store.hits));
+      ("cache_misses", Json.Num (float_of_int cache_stats.Store.misses));
+      ("cache_hit_rate", Json.Num (Store.hit_rate cache_stats));
     ]

@@ -32,7 +32,7 @@ val queue_depth : depth:int -> Json.t
 (** Gauge event: instantaneous pool queue depth at submission time. *)
 
 val cache_evicted : entries:int -> capacity:int -> Json.t
-(** The result cache evicted its LRU entry while at [capacity];
+(** The result store evicted its LRU entry while at [capacity];
     [entries] is the entry count after the eviction. *)
 
 val batch_finished :
@@ -40,7 +40,7 @@ val batch_finished :
   succeeded:int ->
   failed:int ->
   cancelled:int ->
-  cache_stats:Result_cache.stats ->
+  cache_stats:Store.stats ->
   Json.t
 
 (** Server lifecycle events ([noc_tool serve]); they share the sinks

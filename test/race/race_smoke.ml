@@ -1,6 +1,6 @@
-(* One fresh process, two first-time concurrent uses of process-wide
-   state: a two-domain Pool.run, then two Engine.runs started together
-   on two domains.  Exits 1 on any exception; a pool whose worker died
+(* One fresh process, three first-time concurrent uses of process-wide
+   state: a two-domain Pool.run, two Engine.runs started together on
+   two domains, and two domains making a fresh store's first lookups.  Exits 1 on any exception; a pool whose worker died
    hangs instead, which the caller's timeout turns into a failure.
 
    Run with: make race-smoke (300 processes, 0 failures required). *)
@@ -33,10 +33,32 @@ let engine_round () =
   Domain.join a;
   Domain.join b
 
+(* The store's counters must exist before any worker's first lookup. *)
+let store_round () =
+  let open Noc_service in
+  let store = Store.memory ~capacity:4 in
+  let ready = Atomic.make 0 in
+  let worker key () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    ignore (Store.find store key);
+    ignore (Store.store store key (Outcome.done_ [ ("k", 1.) ]));
+    if Store.find store key = None then failwith "Store: lost an entry"
+  in
+  let a = Domain.spawn (worker "aaa") and b = Domain.spawn (worker "bbb") in
+  Domain.join a;
+  Domain.join b;
+  let s = Store.stats store in
+  if s.Store.hits <> 2 || s.Store.misses <> 2 then
+    failwith "Store: wrong hit/miss counts"
+
 let () =
   match
     pool_round ();
-    engine_round ()
+    engine_round ();
+    store_round ()
   with
   | () -> ()
   | exception e ->

@@ -402,24 +402,24 @@ let test_pool_reraises () =
            (List.init 10 Fun.id)))
 
 (* ------------------------------------------------------------------ *)
-(* Result cache                                                        *)
+(* Result cache: the in-memory store                                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_cache_lru_eviction () =
-  let cache = Result_cache.create ~capacity:2 in
+  let cache = Store.memory ~capacity:2 in
   let outcome k = Outcome.done_ [ ("k", float_of_int k) ] in
   check bool_c "no eviction below capacity" false
-    (Result_cache.store cache "a" (outcome 1));
+    (Store.store cache "aaa" (outcome 1));
   check bool_c "no eviction at capacity" false
-    (Result_cache.store cache "b" (outcome 2));
-  ignore (Result_cache.find cache "a");
+    (Store.store cache "bbb" (outcome 2));
+  ignore (Store.find cache "aaa");
   check bool_c "store beyond capacity evicts" true
-    (Result_cache.store cache "c" (outcome 3));
-  check bool_c "recently-used survives" true (Result_cache.find cache "a" <> None);
-  check bool_c "least-recently-used evicted" true (Result_cache.find cache "b" = None);
-  let stats = Result_cache.stats cache in
-  check int_c "one eviction" 1 stats.Result_cache.evictions;
-  check int_c "two entries" 2 stats.Result_cache.entries
+    (Store.store cache "ccc" (outcome 3));
+  check bool_c "recently-used survives" true (Store.find cache "aaa" <> None);
+  check bool_c "least-recently-used evicted" true (Store.find cache "bbb" = None);
+  let stats = Store.stats cache in
+  check int_c "one eviction" 1 stats.Store.evictions;
+  check int_c "two entries" 2 stats.Store.entries
 
 (* ------------------------------------------------------------------ *)
 (* Batch engine                                                        *)
@@ -485,14 +485,14 @@ let test_batch_streams_in_submission_order () =
 
 let test_batch_warm_replay_all_hits () =
   let jobs = registry_jobs () in
-  let cache = Result_cache.create ~capacity:64 in
+  let cache = Store.memory ~capacity:64 in
   let cold, _ = run_batch ~cache ~domains:1 jobs in
-  Result_cache.reset_counters cache;
+  Store.reset_counters cache;
   let warm, warm_summary = run_batch ~cache ~domains:1 jobs in
   check int_c "every job a cache hit"
     (List.length jobs) warm_summary.Batch.cache_hits;
   check bool_c "100% hit rate" true
-    (Result_cache.hit_rate (Result_cache.stats cache) = 1.0);
+    (Store.hit_rate (Store.stats cache) = 1.0);
   check bool_c "replay results identical" true
     (List.map deterministic_payload cold = List.map deterministic_payload warm)
 
@@ -533,7 +533,7 @@ let test_batch_timeout_classification () =
 let test_telemetry_stream_shape () =
   let sink, events = Noc_obs.Sink.memory () in
   let jobs = [ List.hd (registry_jobs ()) ] in
-  let cache = Result_cache.create ~capacity:4 in
+  let cache = Store.memory ~capacity:4 in
   let _ =
     Batch.run
       { Batch.default_config with Batch.telemetry = sink; cache = Some cache }
@@ -858,6 +858,72 @@ let test_store_corrupt_object_is_a_miss () =
       ignore (Store.store s2 key (Outcome.done_ [ ("k", 2.) ]));
       check bool_c "healed" true (Store.find s2 key <> None))
 
+let test_store_capacity_applies_on_reopen () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "store" in
+      let key i = hex_key (string_of_int i) in
+      let s8 = Store.create ~root ~capacity:8 in
+      for i = 1 to 8 do
+        ignore (Store.store s8 (key i) (Outcome.done_ [ ("k", float_of_int i) ]))
+      done;
+      let s2 = Store.create ~root ~capacity:2 in
+      check int_c "reopen keeps capacity entries" 2 (Store.stats s2).Store.entries;
+      check bool_c "newest survive" true
+        (Store.find s2 (key 8) <> None && Store.find s2 (key 7) <> None);
+      for i = 1 to 6 do
+        check bool_c "oldest objects deleted" false
+          (Sys.file_exists (object_path ~root (key i)))
+      done;
+      (* The rewritten index is what the next handle loads. *)
+      let again = Store.create ~root ~capacity:8 in
+      check int_c "index flushed" 2 (Store.stats again).Store.entries)
+
+(* The memory and disk stores share every rule but where an outcome
+   lives: over any store/find sequence they agree on each answer, each
+   eviction flag and the final stats. *)
+type store_op = Put of int * int | Get of int
+
+let prop_memory_matches_disk =
+  let op_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun k v -> Put (k, v)) (int_bound 5) (int_bound 99);
+          map (fun k -> Get k) (int_bound 5);
+        ])
+  in
+  let print (capacity, ops) =
+    Printf.sprintf "capacity %d: %s" capacity
+      (String.concat "; "
+         (List.map
+            (function
+              | Put (k, v) -> Printf.sprintf "put %d=%d" k v
+              | Get k -> Printf.sprintf "get %d" k)
+            ops))
+  in
+  QCheck.Test.make ~name:"memory store matches disk store" ~count:100
+    (QCheck.make ~print
+       QCheck.Gen.(pair (int_range 1 4) (list_size (int_bound 30) op_gen)))
+    (fun (capacity, ops) ->
+      with_temp_dir (fun dir ->
+          let run store =
+            let answers =
+              List.map
+                (function
+                  | Put (k, v) ->
+                      `Evicted
+                        (Store.store store
+                           (hex_key (string_of_int k))
+                           (Outcome.done_ ~wall_ms:(float_of_int v)
+                              [ ("v", float_of_int v) ]))
+                  | Get k -> `Found (Store.find store (hex_key (string_of_int k))))
+                ops
+            in
+            (answers, Store.stats store)
+          in
+          run (Store.memory ~capacity)
+          = run (Store.create ~root:(Filename.concat dir "store") ~capacity)))
+
 (* ------------------------------------------------------------------ *)
 (* Cache eviction is observable in the metrics registry                *)
 (* ------------------------------------------------------------------ *)
@@ -872,12 +938,12 @@ let counter_value name =
     (Noc_obs.Metrics.snapshot ())
 
 let test_cache_eviction_bumps_obs_counter () =
-  let before = counter_value "noc_cache_evictions_total" in
-  let cache = Result_cache.create ~capacity:1 in
-  ignore (Result_cache.store cache "a" (Outcome.done_ [ ("k", 1.) ]));
-  ignore (Result_cache.store cache "b" (Outcome.done_ [ ("k", 2.) ]));
-  check int_c "noc_cache_evictions_total counter bumped" (before + 1)
-    (counter_value "noc_cache_evictions_total")
+  let before = counter_value "noc_store_evictions_total" in
+  let cache = Store.memory ~capacity:1 in
+  ignore (Store.store cache "aaa" (Outcome.done_ [ ("k", 1.) ]));
+  ignore (Store.store cache "bbb" (Outcome.done_ [ ("k", 2.) ]));
+  check int_c "noc_store_evictions_total counter bumped" (before + 1)
+    (counter_value "noc_store_evictions_total")
 
 (* ------------------------------------------------------------------ *)
 (* Server: in-process end-to-end, warm across a restart                *)
@@ -1065,6 +1131,7 @@ let qcheck_cases =
       prop_job_file_roundtrip;
       prop_wire_requests_chunked;
       prop_wire_responses_chunked;
+      prop_memory_matches_disk;
     ]
 
 let () =
@@ -1117,6 +1184,8 @@ let () =
             test_store_lru_eviction_removes_file;
           Alcotest.test_case "corrupt object is a miss" `Quick
             test_store_corrupt_object_is_a_miss;
+          Alcotest.test_case "capacity applies on reopen" `Quick
+            test_store_capacity_applies_on_reopen;
         ] );
       ( "server",
         [
