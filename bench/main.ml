@@ -415,6 +415,17 @@ let removal_ledger () =
           (fun (span, ms) -> (span ^ "_ms", ms))
           (phase_attribution base))
   in
+  (* Two rungs of the synthetic scale ladder (uniform traffic, 3 flows
+     per core, seed 7), where the cycle search dominates removal. *)
+  let ladder =
+    List.concat_map
+      (fun (n_cores, n_switches) ->
+        entry
+          (Printf.sprintf "uniform%d" n_cores)
+          (Noc_benchmarks.Synthetic.uniform ~n_cores ~flows_per_core:3 ~seed:7)
+          n_switches)
+      [ (128, 32); (256, 64) ]
+  in
   let entries =
     List.concat_map
       (fun (name, switch_counts) ->
@@ -422,6 +433,7 @@ let removal_ledger () =
         let traffic = spec.Noc_benchmarks.Spec.build () in
         List.concat_map (entry name traffic) switch_counts)
       points
+    @ ladder
   in
   {
     Ledger.gates = Gates.removal_gates;

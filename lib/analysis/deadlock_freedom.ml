@@ -177,21 +177,46 @@ let check_escape_order net order =
    own channels to duplication before the relation can become acyclic,
    and disjoint cycles need distinct duplications, so the packing size
    bounds vcs_added from below.  Shortest-cycle-first keeps the packing
-   large and the witness readable. *)
-let shortest_cycle_through arena alive start =
-  let n = Array.length arena.channels in
-  let dist = Array.make n (-1) and parent = Array.make n (-1) in
-  dist.(start) <- 0;
-  let queue = Queue.create () in
-  Queue.add start queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
+   large and the witness readable.
+
+   The BFS scratch is shared by every search of one packing: [seen]
+   holds the search's [gen] for discovered vertices, so nothing is
+   cleared between searches. *)
+type scratch = {
+  seen : int array;
+  dist : int array;
+  parent : int array;
+  queue : int array;
+  mutable gen : int;
+}
+
+(* The shortest live cycle through [start]: BFS from [start] along
+   waits, closed through the first predecessor of [start] (in [preds]
+   order) at the least distance.  The BFS stops once that distance is
+   settled: every vertex at that distance is discovered before any is
+   dequeued. *)
+let shortest_cycle_through arena alive sc start =
+  sc.gen <- sc.gen + 1;
+  let gn = sc.gen in
+  let found v = sc.seen.(v) = gn in
+  let is_pred = List.filter (fun p -> alive.(p)) arena.preds.(start) in
+  sc.seen.(start) <- gn;
+  sc.dist.(start) <- 0;
+  sc.queue.(0) <- start;
+  let head = ref 0 and tail = ref 1 in
+  let closing = ref max_int in
+  while !head < !tail && sc.dist.(sc.queue.(!head)) < !closing do
+    let v = sc.queue.(!head) in
+    incr head;
     List.iter
       (fun u ->
-        if alive.(u) && dist.(u) < 0 then begin
-          dist.(u) <- dist.(v) + 1;
-          parent.(u) <- v;
-          Queue.add u queue
+        if alive.(u) && not (found u) then begin
+          sc.seen.(u) <- gn;
+          sc.dist.(u) <- sc.dist.(v) + 1;
+          sc.parent.(u) <- v;
+          sc.queue.(!tail) <- u;
+          incr tail;
+          if List.mem u is_pred then closing := Int.min !closing sc.dist.(u)
         end)
       arena.succs.(v)
   done;
@@ -199,47 +224,69 @@ let shortest_cycle_through arena alive start =
   let closer =
     List.fold_left
       (fun best p ->
-        if (not alive.(p)) || dist.(p) < 0 then best
+        if not (found p) then best
         else
           match best with
-          | Some b when dist.(b) <= dist.(p) -> best
+          | Some b when sc.dist.(b) <= sc.dist.(p) -> best
           | _ -> Some p)
-      None arena.preds.(start)
+      None is_pred
   in
   match closer with
   | None -> None
   | Some p ->
       let rec unwind v acc =
-        if v = start then start :: acc else unwind parent.(v) (v :: acc)
+        if v = start then start :: acc else unwind sc.parent.(v) (v :: acc)
       in
       Some (unwind p [])
 
+module Pending = Set.Make (struct
+  type t = int * int
+
+  let compare (l1, v1) (l2, v2) =
+    let c = Int.compare l1 l2 in
+    if c <> 0 then c else Int.compare v1 v2
+end)
+
+(* Lazy packing.  [pending] holds [(b, v)] with [b] at most the length
+   of the shortest live cycle through [v]; packing only deletes
+   vertices, so a bound, once true, stays true.  The least pair is
+   re-measured: if its length still equals [b], every other live
+   vertex has a cycle at least as long, and a longer one or an equal
+   one at a larger vertex, so it is the eager scan's pick (shortest,
+   then smallest vertex); otherwise it goes back with its new
+   length. *)
 let vc_lower_bound net =
   let arena = build_arena net in
   let n = Array.length arena.channels in
   let alive = Array.make n true in
-  let cycles = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    let best = ref None in
-    for v = 0 to n - 1 do
-      if alive.(v) then
-        match shortest_cycle_through arena alive v with
-        | None -> ()
-        | Some cycle -> (
-            match !best with
-            | Some b when List.length b <= List.length cycle -> ()
-            | _ -> best := Some cycle)
-    done;
-    match !best with
-    | None -> continue_ := false
-    | Some cycle ->
-        List.iter (fun v -> alive.(v) <- false) cycle;
-        cycles := cycle :: !cycles
-  done;
-  let disjoint_cycles =
-    List.rev_map (List.map (fun v -> arena.channels.(v))) !cycles
+  let sc =
+    {
+      seen = Array.make n 0;
+      dist = Array.make n 0;
+      parent = Array.make n (-1);
+      queue = Array.make n 0;
+      gen = 0;
+    }
   in
+  let rec pack pending cycles =
+    match Pending.min_elt_opt pending with
+    | None -> List.rev cycles
+    | Some ((b, v) as least) -> (
+        let pending = Pending.remove least pending in
+        if not alive.(v) then pack pending cycles
+        else
+          match shortest_cycle_through arena alive sc v with
+          | None -> pack pending cycles
+          | Some cycle ->
+              let len = List.length cycle in
+              if len = b then begin
+                List.iter (fun u -> alive.(u) <- false) cycle;
+                pack pending (cycle :: cycles)
+              end
+              else pack (Pending.add (len, v) pending) cycles)
+  in
+  let cycles = pack (Pending.of_list (List.init n (fun v -> (1, v)))) [] in
+  let disjoint_cycles = List.map (List.map (fun v -> arena.channels.(v))) cycles in
   { lower_bound = List.length disjoint_cycles; disjoint_cycles }
 
 let pp_channels ppf cs =

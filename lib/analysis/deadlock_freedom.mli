@@ -84,6 +84,10 @@ type bound = {
 val vc_lower_bound : Network.t -> bound
 (** Static lower bound on the VCs a duplication-based removal must add
     to this design; [{ lower_bound = 0; disjoint_cycles = [] }] when
-    the relation is already deadlock-free. *)
+    the relation is already deadlock-free.  Each round packs the
+    shortest live cycle, ties to the smallest vertex.  Packing only
+    deletes vertices, so a vertex's last measured cycle length stays a
+    lower bound: a round re-measures vertices in ascending order of
+    that bound and packs the first whose length still equals it. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

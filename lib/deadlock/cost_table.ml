@@ -48,7 +48,7 @@ let duplicate_set direction ~cycle_set ~route ~ci ~cj =
       | Forward -> collect 0 idx
       | Backward -> collect (idx + 1) (m - 1))
 
-let involved_flows net in_cycle =
+let involved_flows ?candidates net in_cycle =
   let crosses (f : Traffic.flow) =
     (* The flow is involved as soon as two of its channels lie on the
        cycle; no need to scan the rest of the route. *)
@@ -60,7 +60,11 @@ let involved_flows net in_cycle =
     in
     scan 0 (Network.route net f.Traffic.id)
   in
-  List.filter crosses (Traffic.flows (Network.traffic net))
+  let traffic = Network.traffic net in
+  List.filter crosses
+    (match candidates with
+    | None -> Traffic.flows traffic
+    | Some ids -> List.map (Traffic.flow traffic) ids)
 
 (* The removal driver prices both directions of the same cycle every
    iteration, and the expensive parts — finding the involved flows and
@@ -100,7 +104,7 @@ let finish direction ~cycle ~flows ~routes ~k ~n_rows costs =
     best_pos = !best_pos;
   }
 
-let both net cycle_list =
+let both ?candidates net cycle_list =
   if cycle_list = [] then invalid_arg "Cost_table: empty cycle";
   Noc_obs.Trace.with_span "cost_table.both"
     ~attrs:[ ("cycle_len", Noc_obs.Trace.Int (List.length cycle_list)) ]
@@ -110,7 +114,7 @@ let both net cycle_list =
   let col_of = Channel.Table.create (2 * k) in
   Array.iteri (fun i c -> Channel.Table.replace col_of c i) cycle;
   let in_cycle c = Channel.Table.mem col_of c in
-  let flows = Array.of_list (involved_flows net in_cycle) in
+  let flows = Array.of_list (involved_flows ?candidates net in_cycle) in
   let n_rows = Array.length flows in
   let fwd_costs = Array.make_matrix n_rows k 0 in
   let bwd_costs = Array.make_matrix n_rows k 0 in
@@ -144,8 +148,8 @@ let both net cycle_list =
   ( finish Forward ~cycle ~flows:flow_ids ~routes ~k ~n_rows fwd_costs,
     finish Backward ~cycle ~flows:flow_ids ~routes ~k ~n_rows bwd_costs )
 
-let forward net cycle = fst (both net cycle)
-let backward net cycle = snd (both net cycle)
+let forward ?candidates net cycle = fst (both ?candidates net cycle)
+let backward ?candidates net cycle = snd (both ?candidates net cycle)
 
 (* The pre-optimization implementation, kept verbatim as an executable
    specification: one [duplicate_set] rescan per (row, column) and a

@@ -29,17 +29,22 @@ type t = {
   best_pos : int;  (** First column achieving [best_cost]. *)
 }
 
-val forward : Network.t -> Channel.t list -> t
+val forward : ?candidates:Ids.Flow.t list -> Network.t -> Channel.t list -> t
 (** Algorithm 2 verbatim: costs counted from where each flow enters
-    the cycle, walking routes source-to-destination.
+    the cycle, walking routes source-to-destination.  [candidates],
+    when given, are the only flows examined for rows: they must be in
+    flow-id order and include every flow with more than one route
+    channel on the cycle ({!Noc_model.Cdg.flows_through} of the cycle
+    does).  The table is the same; only the scan of every flow is
+    saved.
     @raise Invalid_argument on an empty cycle. *)
 
-val backward : Network.t -> Channel.t list -> t
+val backward : ?candidates:Ids.Flow.t list -> Network.t -> Channel.t list -> t
 (** Same analysis walking routes destination-to-source: the cost of a
     column counts the cycle channels from the dependency's head to
     where the flow leaves the cycle. *)
 
-val both : Network.t -> Channel.t list -> t * t
+val both : ?candidates:Ids.Flow.t list -> Network.t -> Channel.t list -> t * t
 (** [(forward, backward)] tables of the same cycle, sharing the
     direction-blind work (involved-flow filter, per-route dependency
     location, prefix sums) — what the removal driver wants every

@@ -9,31 +9,31 @@ type report = {
 
 type heuristic = Smallest_cycle_first | Any_cycle_first
 
-let find_cycle ?(hint = []) ?(reference = false) heuristic cdg =
+let find_cycle ?(reference = false) heuristic cdg =
   match heuristic with
   | Smallest_cycle_first ->
       if reference then
         Option.map
           (List.map (Cdg.channel_of_vertex cdg))
           (Noc_graph.Cycles.shortest_reference (Cdg.graph cdg))
-      else Cdg.smallest_cycle ~hint cdg
+      else Cdg.smallest_cycle cdg
   | Any_cycle_first ->
       Option.map
         (List.map (Cdg.channel_of_vertex cdg))
         (Noc_graph.Cycles.find_any (Cdg.graph cdg))
 
-let pick_table ?(reference = false) net directions cycle =
+let pick_table ?(reference = false) ?candidates net directions cycle =
   match (reference, directions) with
   | false, [ Cost_table.Forward; Cost_table.Backward ] ->
       (* The default direction list: price both tables in one shared
          pass.  Strict [<] keeps the forward-wins-ties rule below. *)
-      let fwd, bwd = Cost_table.both net cycle in
+      let fwd, bwd = Cost_table.both ?candidates net cycle in
       if bwd.Cost_table.best_cost < fwd.Cost_table.best_cost then bwd else fwd
   | _ ->
       let compute d =
         match (reference, d) with
-        | false, Cost_table.Forward -> Cost_table.forward net cycle
-        | false, Cost_table.Backward -> Cost_table.backward net cycle
+        | false, Cost_table.Forward -> Cost_table.forward ?candidates net cycle
+        | false, Cost_table.Backward -> Cost_table.backward ?candidates net cycle
         | true, Cost_table.Forward -> Cost_table.forward_reference net cycle
         | true, Cost_table.Backward -> Cost_table.backward_reference net cycle
       in
@@ -48,15 +48,6 @@ let pick_table ?(reference = false) net directions cycle =
               if t.Cost_table.best_cost < best.Cost_table.best_cost then t
               else best)
             first rest)
-
-(* Channels worth probing first in the next cycle search: everything
-   the break just touched.  Any new cycle was either already present
-   (shares no touched channel — found by the main scan regardless) or
-   was created/kept by the rerouted flows, in which case it passes
-   through one of these. *)
-let hint_channels (change : Break_cycle.change) =
-  let src, dst = change.broken in
-  src :: dst :: change.added_channels
 
 module Trace = Noc_obs.Trace
 
@@ -98,7 +89,10 @@ let run ?(max_iterations = 10_000) ?(heuristic = Smallest_cycle_first)
     @@ fun it_sp ->
     let table =
       Trace.with_span "removal.cost_tables" (fun _ ->
-          pick_table ~reference net directions cycle)
+          (* The CDG knows which flows touch the cycle, so the tables
+             need not scan every flow. *)
+          let candidates = if reference then None else Some (Cdg.flows_through cdg cycle) in
+          pick_table ~reference ?candidates net directions cycle)
     in
     let change =
       Trace.with_span "removal.break" (fun _ ->
@@ -115,26 +109,26 @@ let run ?(max_iterations = 10_000) ?(heuristic = Smallest_cycle_first)
     Logs.debug (fun m ->
         m "removal: iteration %d, cycle length %d, %a" (iter + 1)
           (List.length cycle) Break_cycle.pp_change change);
-    let cdg, hint =
+    let cdg =
       Trace.with_span "removal.cdg_update" (fun _ ->
           if incremental then begin
             Noc_obs.Metrics.incr cdg_incremental;
             Cdg.apply_change cdg (Break_cycle.cdg_change change);
             if validate && not (Cdg.equal cdg (Cdg.build net)) then
               failwith "Removal.run: incremental CDG diverged from fresh build";
-            (cdg, hint_channels change)
+            cdg
           end
           else begin
             Noc_obs.Metrics.incr cdg_rebuild;
-            (Cdg.build net, [])
+            Cdg.build net
           end)
     in
-    (change, cdg, hint)
+    (change, cdg)
   in
-  let rec loop iter changes cdg hint =
+  let rec loop iter changes cdg =
     match
       Trace.with_span "removal.find_cycle" (fun _ ->
-          find_cycle ~hint ~reference heuristic cdg)
+          find_cycle ~reference heuristic cdg)
     with
     | None ->
         finish_run
@@ -154,11 +148,11 @@ let run ?(max_iterations = 10_000) ?(heuristic = Smallest_cycle_first)
               deadlock_free = false;
             }
         else begin
-          let change, cdg, hint = iteration iter cdg cycle in
-          loop (iter + 1) (change :: changes) cdg hint
+          let change, cdg = iteration iter cdg cycle in
+          loop (iter + 1) (change :: changes) cdg
         end
   in
-  loop 0 [] (Cdg.build net) []
+  loop 0 [] (Cdg.build net)
 
 let is_deadlock_free net = Cdg.is_deadlock_free (Cdg.build net)
 

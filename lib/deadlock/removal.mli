@@ -41,9 +41,10 @@ val run :
     physical link for VC-less architectures.
 
     The CDG is built once up front and then maintained {e in place}
-    across iterations via {!Noc_model.Cdg.apply_change}, with the
-    channels touched by each break hinting the next smallest-cycle
-    search.  Both are exact: the trajectory (cycles chosen, breaks
+    across iterations via {!Noc_model.Cdg.apply_change}, together with
+    its per-channel cycle bounds, so each smallest-cycle search
+    re-probes mostly the channels near the last break.  Both are
+    exact: the trajectory (cycles chosen, breaks
     applied, VCs added) is identical to rebuilding from scratch every
     round.  [incremental:false] forces the historical behaviour —
     rebuild per iteration, the unpruned

@@ -70,27 +70,155 @@ let shortest_through ?bound g v = shortest_through_in ?bound g v
 
 let cycle_length = List.length
 
-let shortest ?(prefer = []) g =
-  (* Restrict the search to vertices inside non-trivial SCCs: every
-     cycle lives entirely within one SCC, so other vertices cannot
-     start one.  The scan visits candidates in ascending vertex order
-     with strict improvement, so the result is the cycle of globally
-     minimal length rooted at the smallest such vertex — exactly the
-     answer the naive all-vertices fold produced, but with three
-     lossless prunings:
-     - a self-loop prescan (a self-loop is always the unique winner);
-     - per-vertex searches bounded by the best length found so far;
-     - each BFS confined to the candidate's own SCC.
-     [prefer] vertices (typically those touched by the last CDG edit)
-     are probed first purely to seed the bound: probing cannot change
-     which cycle wins because the main scan still runs with an
-     off-by-one slack ([b + 1]) that keeps every equally-short cycle
-     at a smaller vertex reachable. *)
+(* Per-vertex cycle bounds and the scratch arrays of the searches
+   that read them.  Invariant: [lb.(v)] is at most the length of the
+   shortest cycle through [v], and [max_int] only when [v] is on no
+   cycle.  [marked] records that an SCC pass has set the [max_int]
+   entries; until then every entry is a plain lower bound. *)
+type bounds = {
+  mutable lb : int array;
+  mutable marked : bool;
+  mutable gen : int;
+  mutable stamp : int array;
+  mutable dist : int array;
+  mutable back_stamp : int array;
+  mutable back : int array;
+  mutable queue : int array;
+  mutable order : int array;
+}
+
+let bounds n =
+  {
+    lb = Array.make n 0;
+    marked = false;
+    gen = 0;
+    stamp = [||];
+    dist = [||];
+    back_stamp = [||];
+    back = [||];
+    queue = [||];
+    order = [||];
+  }
+
+let insert_unknown b ids =
+  let k = List.length ids in
+  if k > 0 then begin
+    let old = b.lb in
+    let lb = Array.make (Array.length old + k) 0 in
+    let rec go src dst = function
+      | [] -> Array.blit old src lb dst (Array.length old - src)
+      | p :: rest ->
+          Array.blit old src lb dst (p - dst);
+          go (src + p - dst) (p + 1) rest
+    in
+    go 0 0 ids;
+    b.lb <- lb
+  end
+
+(* Scratch for [n] vertices.  Stamps compare against [gen], which only
+   grows, so fresh zeroed arrays never read as marked. *)
+let scratch b n =
+  if Array.length b.stamp < n then begin
+    let cap = max n (2 * Array.length b.stamp) in
+    b.stamp <- Array.make cap 0;
+    b.dist <- Array.make cap 0;
+    b.back_stamp <- Array.make cap 0;
+    b.back <- Array.make cap 0;
+    b.queue <- Array.make cap 0;
+    b.order <- Array.make cap 0
+  end
+
+let next_gen b =
+  b.gen <- b.gen + 1;
+  b.gen
+
+(* Hop distances from the [sources] set into [d] (stamped [gn] in
+   [st]), forward along [adj] = succ or backward along [adj] = pred. *)
+let distances b g adj st d gn sources =
+  let q = b.queue in
+  let tail = ref 0 in
+  List.iter
+    (fun t ->
+      if st.(t) <> gn then begin
+        st.(t) <- gn;
+        d.(t) <- 0;
+        q.(!tail) <- t;
+        incr tail
+      end)
+    sources;
+  let head = ref 0 in
+  while !head < !tail do
+    let u = q.(!head) in
+    incr head;
+    let rest = ref (adj g u) in
+    while !rest <> [] do
+      let w = List.hd !rest in
+      rest := List.tl !rest;
+      if st.(w) <> gn then begin
+        st.(w) <- gn;
+        d.(w) <- d.(u) + 1;
+        q.(!tail) <- w;
+        incr tail
+      end
+    done
+  done
+
+let relax_bounds b g ~added =
+  if added <> [] then begin
+    let n = Digraph.n_vertices g in
+    scratch b n;
+    let gf = next_gen b in
+    distances b g Digraph.succ b.stamp b.dist gf (List.map snd added);
+    let gb = next_gen b in
+    distances b g Digraph.pred b.back_stamp b.back gb (List.map fst added);
+    (* A cycle through [v] that was not there before uses some new
+       edge [u -> w]: [v ~> u -> w ~> v], at least
+       [dist v u + 1 + dist w v] long. *)
+    for v = 0 to n - 1 do
+      if b.stamp.(v) = gf && b.back_stamp.(v) = gb then
+        b.lb.(v) <- Int.min b.lb.(v) (b.back.(v) + 1 + b.dist.(v))
+    done
+  end
+
+(* Every cycle lives inside one SCC: a vertex of a trivial SCC without
+   a self-loop is on none. *)
+let mark_acyclic b g =
+  let scc = Scc.compute g in
+  let comp = scc.Scc.component in
+  let size = Array.make scc.Scc.count 0 in
+  Array.iter (fun c -> size.(c) <- size.(c) + 1) comp;
+  Array.iteri
+    (fun v c -> if size.(c) < 2 && not (Digraph.mem_edge g v v) then b.lb.(v) <- max_int)
+    comp;
+  b.marked <- true
+
+let shortest ?bounds:cache g =
+  (* The answer is the minimum of [(length of the shortest cycle
+     through v, v)] over all vertices — the globally shortest cycle,
+     ties to the smallest root — and that root's cycle.  The search
+     visits vertices in ascending [(lb v, v)] order, where [lb v] is
+     at most the first component, and stops at the first vertex whose
+     [(lb v, v)] is past the best pair found: no later vertex can beat
+     it.  Each probe is cut off at the length it must beat, and each
+     BFS is confined to vertices whose bound is below that length;
+     both prunings are lossless.  A self-loop prescan removes length-1
+     cycles first. *)
   let n = Digraph.n_vertices g in
+  let b =
+    match cache with
+    | None -> bounds n
+    | Some b ->
+        if Array.length b.lb <> n then
+          invalid_arg "Cycles.shortest: bounds cover a different vertex count";
+        b
+  in
+  if not b.marked then mark_acyclic b g;
+  let lb = b.lb in
+  (* A vertex with a self-loop has bound at most 1. *)
   let selfloop = ref None in
   (try
      for v = 0 to n - 1 do
-       if Digraph.mem_edge g v v then begin
+       if lb.(v) <= 1 && Digraph.mem_edge g v v then begin
          selfloop := Some v;
          raise Exit
        end
@@ -99,46 +227,29 @@ let shortest ?(prefer = []) g =
   match !selfloop with
   | Some v -> Some [ v ]
   | None ->
-      let scc = Scc.compute g in
-      let comp = scc.Scc.component in
-      let size = Array.make scc.Scc.count 0 in
-      for v = 0 to n - 1 do
-        size.(comp.(v)) <- size.(comp.(v)) + 1
-      done;
-      let candidate v = size.(comp.(v)) >= 2 in
-      (* Flat (CSR) snapshot of the predecessor adjacency: the probe
-         BFS below is the scan's inner loop, and walking list cells
-         through a closure there costs more than one up-front copy.
-         Row [v] preserves [Digraph.pred g v] order exactly. *)
-      let m = Digraph.n_edges g in
-      let poff = Array.make (n + 1) 0 in
-      let padj = Array.make (max 1 m) 0 in
-      let fill = ref 0 in
-      for v = 0 to n - 1 do
-        poff.(v) <- !fill;
-        List.iter
-          (fun u ->
-            padj.(!fill) <- u;
-            incr fill)
-          (Digraph.pred g v)
-      done;
-      poff.(n) <- !fill;
-      (* Scratch state shared by every bounded BFS of the scan —
+      (* No self-loops: no cycle is shorter than 2. *)
+      Array.iteri (fun v l -> if l < 2 then lb.(v) <- 2) lb;
+      (* A vertex on a cycle through [v] shorter than [cap] has a
+         bound below [cap]; confining a search for such cycles to
+         those vertices changes neither the lengths it finds nor the
+         BFS parent chains along them. *)
+      let within cap w = lb.(w) < cap in
+      scratch b n;
+      (* Scratch state shared by every bounded BFS of the search —
          [stamp]/[gen] make clearing O(1) — so the inner loop never
          allocates.  Discovery order is identical to a fresh BFS, so
-         the parent chains (hence the returned cycles) are too. *)
-      let dist = Array.make n 0 in
-      let parent = Array.make n (-1) in
-      let stamp = Array.make n 0 in
-      let tstamp = Array.make n 0 in
-      let gen = ref 0 in
-      (* Each vertex is enqueued at most once per BFS, so a flat array
-         of size [n] is queue enough; [stamp]/[gen] make per-BFS
-         clearing O(1). *)
-      let queue = Array.make (max 1 n) 0 in
-      let bfs s v c max_edges =
-        incr gen;
-        let gn = !gen in
+         the parent chains (hence the returned cycles) are too.  Each
+         vertex is enqueued at most once per BFS, so a flat array of
+         size [n] is queue enough. *)
+      let dist = b.dist and stamp = b.stamp and queue = b.queue in
+      let parent = b.back and tstamp = b.back_stamp in
+      (* Vertices dequeued by the probes of this search. *)
+      let work = ref 0 in
+      (* BFS from [s] towards [v] over successor edges, at most
+         [max_edges] deep and within [cap], leaving the parent chain in
+         [parent]. *)
+      let bfs ~cap s v max_edges =
+        let gn = next_gen b in
         stamp.(s) <- gn;
         dist.(s) <- 0;
         parent.(s) <- -1;
@@ -150,22 +261,21 @@ let shortest ?(prefer = []) g =
           incr head;
           let du = dist.(u) in
           if du < max_edges then begin
-            let rec visit = function
-              | [] -> ()
-              | w :: ws ->
-                  if stamp.(w) <> gn && comp.(w) = c then begin
-                    stamp.(w) <- gn;
-                    dist.(w) <- du + 1;
-                    parent.(w) <- u;
-                    if w = v then found := true
-                    else begin
-                      queue.(!tail) <- w;
-                      incr tail
-                    end
-                  end;
-                  if not !found then visit ws
-            in
-            visit (Digraph.succ g u)
+            let rest = ref (Digraph.succ g u) in
+            while (not !found) && !rest <> [] do
+              let w = List.hd !rest in
+              rest := List.tl !rest;
+              if stamp.(w) <> gn && within cap w then begin
+                stamp.(w) <- gn;
+                dist.(w) <- du + 1;
+                parent.(w) <- u;
+                if w = v then found := true
+                else begin
+                  queue.(!tail) <- w;
+                  incr tail
+                end
+              end
+            done
           end
         done;
         !found
@@ -173,71 +283,60 @@ let shortest ?(prefer = []) g =
       (* Length of the shortest cycle through [v] if it is strictly
          below [bound], else 0 — a single backward BFS instead of one
          forward BFS per successor.  The shortest cycle through [v] is
-         [1 + min over in-SCC successors s of dist(s -> v)], and a
-         backward BFS from [v] over predecessor edges discovers
-         vertices in nondecreasing dist-to-[v] order, so the first
-         successor it reaches realizes that minimum.  Self-loops are
-         prescanned away, so [v] itself is never a target. *)
+         [1 + min over successors s of dist(s -> v)], and a backward
+         BFS from [v] over predecessor edges discovers vertices in
+         nondecreasing dist-to-[v] order, so the first successor it
+         reaches realizes that minimum.  Self-loops are prescanned
+         away, so [v] itself is never a target. *)
       let probe ~bound v =
         let max_edges = bound - 2 in
-        if max_edges < 1 then 0
+        if max_edges < 1 || Digraph.succ g v = [] then 0
         else begin
-          let c = comp.(v) in
-          incr gen;
-          let gn = !gen in
-          let has_target = ref false in
-          List.iter
-            (fun s ->
-              if comp.(s) = c then begin
-                tstamp.(s) <- gn;
-                has_target := true
-              end)
-            (Digraph.succ g v);
-          if not !has_target then 0
-          else begin
-            stamp.(v) <- gn;
-            dist.(v) <- 0;
-            queue.(0) <- v;
-            let head = ref 0 and tail = ref 1 in
-            let res = ref 0 in
-            (try
-               while !head < !tail do
-                 let u = queue.(!head) in
-                 incr head;
-                 let du = dist.(u) in
-                 if du < max_edges then
-                   for i = poff.(u) to poff.(u + 1) - 1 do
-                     let w = padj.(i) in
-                     if stamp.(w) <> gn && comp.(w) = c then begin
-                       stamp.(w) <- gn;
-                       dist.(w) <- du + 1;
-                       if tstamp.(w) = gn then begin
-                         (* v -> w -> ... -> v: dist(w) edges back to
-                            v plus the closing edge = dist(w) + 1
-                            vertices. *)
-                         res := du + 2;
-                         raise Exit
-                       end;
-                       queue.(!tail) <- w;
-                       incr tail
-                     end
-                   done
-               done
-             with Exit -> ());
-            !res
-          end
+          let gn = next_gen b in
+          List.iter (fun s -> tstamp.(s) <- gn) (Digraph.succ g v);
+          stamp.(v) <- gn;
+          dist.(v) <- 0;
+          queue.(0) <- v;
+          let head = ref 0 and tail = ref 1 in
+          let res = ref 0 in
+          while !res = 0 && !head < !tail do
+            let u = queue.(!head) in
+            incr head;
+            let du = dist.(u) in
+            if du < max_edges then begin
+              let rest = ref (Digraph.pred g u) in
+              while !res = 0 && !rest <> [] do
+                let w = List.hd !rest in
+                rest := List.tl !rest;
+                if stamp.(w) <> gn && within bound w then begin
+                  stamp.(w) <- gn;
+                  dist.(w) <- du + 1;
+                  (* v -> w -> ... -> v: dist(w) edges back to v plus
+                     the closing edge = dist(w) + 1 vertices. *)
+                  if tstamp.(w) = gn then res := du + 2
+                  else begin
+                    queue.(!tail) <- w;
+                    incr tail
+                  end
+                end
+              done
+            end
+          done;
+          work := !work + !head;
+          !res
         end
       in
+      (* The cycle through [v] of length below [bound] built from the
+         first successor in sorted order that achieves the minimum,
+         with BFS-parent tie-breaks — the seed's per-successor
+         search. *)
       let through ~bound v =
-        let c = comp.(v) in
         let best = ref None in
         let best_len = ref bound in
         List.iter
           (fun s ->
-            (* A successor outside v's SCC has no path back to v; and
-               once the bound hits 2 nothing can improve (self-loops
-               were prescanned away). *)
-            if !best_len > 2 && comp.(s) = c && bfs s v c (!best_len - 2)
+            (* Once the bound hits 2 nothing can improve. *)
+            if !best_len > 2 && within bound s && bfs ~cap:bound s v (!best_len - 2)
             then begin
               let rec build w acc =
                 if w = s then w :: acc else build parent.(w) (w :: acc)
@@ -253,47 +352,66 @@ let shortest ?(prefer = []) g =
         | None -> None
         | Some path -> Some (v :: List.filter (fun w -> w <> v) path)
       in
-      (* The hint pass only needs a length to seed the bound, so the
-         cheap probe suffices — no cycle reconstruction. *)
-      let hint_bound = ref max_int in
-      List.iter
-        (fun h ->
-          if h >= 0 && h < n && candidate h && !hint_bound > 2 then begin
-            let l = probe ~bound:!hint_bound h in
-            if l > 0 then hint_bound := l
+      (* Counting sort of the live vertices by [(lb v, v)]. *)
+      let top = Array.fold_left (fun m l -> if l < max_int then Int.max m l else m) 0 lb in
+      let start = Array.make (top + 2) 0 in
+      Array.iter (fun l -> if l < max_int then start.(l + 1) <- start.(l + 1) + 1) lb;
+      for d = 1 to top + 1 do
+        start.(d) <- start.(d) + start.(d - 1)
+      done;
+      let live = start.(top + 1) in
+      let order = b.order in
+      Array.iteri
+        (fun v l ->
+          if l < max_int then begin
+            order.(start.(l)) <- v;
+            start.(l) <- start.(l) + 1
           end)
-        (List.sort_uniq compare prefer);
-      let best = ref None in
-      let limit =
-        ref (if !hint_bound = max_int then max_int else !hint_bound + 1)
-      in
+        lb;
+      let best_len = ref max_int and best_root = ref (-1) in
+      let budget = n + Digraph.n_edges g in
+      let remarked = ref false in
       (try
-         for v = 0 to n - 1 do
-           if candidate v then begin
-             let l = probe ~bound:!limit v in
+         for i = 0 to live - 1 do
+           let v = order.(i) in
+           let d = lb.(v) in
+           if d < max_int then begin
+             if d > !best_len || (d = !best_len && v > !best_root) then raise Exit;
+             (* The length [v] must reach to beat the best pair. *)
+             let beat =
+               if !best_len = max_int then max_int
+               else if v < !best_root then !best_len + 1
+               else !best_len
+             in
+             let l = probe ~bound:beat v in
              if l > 0 then begin
-               (* The probe says the minimum through [v] is exactly
-                  [l]; rerun the seed's per-successor search with the
-                  matching budget to obtain the exact seed cycle (the
-                  first successor in sorted order achieving [l], with
-                  BFS-parent tie-breaks).  Any bound > l yields the
-                  same winner, so the tight [l + 1] is lossless. *)
-               match through ~bound:(l + 1) v with
-               | Some c ->
-                   best := Some c;
-                   limit := l;
-                   (* Without self-loops no cycle is shorter than 2, so
-                      the first 2-cycle found cannot be beaten. *)
-                   if l <= 2 then raise Exit
-               | None ->
-                   (* Unreachable: the probe and [through] compute the
-                      same SCC-confined shortest distances. *)
-                   assert false
+               lb.(v) <- l;
+               best_len := l;
+               best_root := v
+             end
+             else begin
+               (* Nothing through [v] below [beat]; with no cap, nothing
+                  at all. *)
+               lb.(v) <- Int.max d beat;
+               (* Unbounded probes that find no cycle can each walk the
+                  live graph; past one SCC pass's worth of work, one
+                  pass marks every acyclic vertex at once. *)
+               if beat = max_int && (not !remarked) && !work > budget then begin
+                 mark_acyclic b g;
+                 remarked := true
+               end
              end
            end
          done
        with Exit -> ());
-      !best
+      if !best_root < 0 then None
+      else
+        match through ~bound:(!best_len + 1) !best_root with
+        | Some c -> Some c
+        | None ->
+            (* Unreachable: the probe and [through] compute the same
+               confined shortest distances. *)
+            assert false
 
 (* The pre-optimization implementation, kept verbatim as an executable
    specification: no per-vertex bounds, no SCC-confined BFS, no

@@ -70,6 +70,16 @@ let unsafe_add_edge g u v =
   g.pred.(v) <- u :: g.pred.(v);
   g.m <- g.m + 1
 
+(* Splices [x] into [l] after the longest prefix satisfying [ahead]. *)
+let rec insert_after ahead x = function
+  | w :: rest when ahead w -> w :: insert_after ahead x rest
+  | l -> x :: l
+
+let insert_edge g u v ~ahead_in_succ ~ahead_in_pred =
+  g.succ.(u) <- insert_after ahead_in_succ v g.succ.(u);
+  g.pred.(v) <- insert_after ahead_in_pred u g.pred.(v);
+  g.m <- g.m + 1
+
 let remove_edge g u v =
   if mem_edge g u v then begin
     g.succ.(u) <- List.filter (fun w -> w <> v) g.succ.(u);
@@ -131,6 +141,50 @@ let copy g =
   Array.blit g.pred 0 g'.pred 0 g.n;
   g'.m <- g.m;
   g'
+
+let insert_vertices g ids =
+  match ids with
+  | [] -> ()
+  | first :: _ ->
+      (* [p_i - i] is the old id of the vertex that lands right after
+         the [i]-th new one, so an old vertex moves up by the number of
+         those at or below it.  Insertions are few; a scan per lookup
+         is cheaper than a table. *)
+      let gaps = Array.of_list (List.mapi (fun i p -> p - i) ids) in
+      let k = Array.length gaps in
+      let rec ascending lo = function
+        | [] -> true
+        | p :: rest -> p >= lo && p < g.n + k && ascending (p + 1) rest
+      in
+      if not (ascending 0 ids) then
+        invalid_arg "Digraph.insert_vertices: ids not ascending in range";
+      let shift u =
+        let i = ref 0 in
+        while !i < k && gaps.(!i) <= u do
+          incr i
+        done;
+        u + !i
+      in
+      let moved w = w >= first in
+      let map row = if List.exists moved row then List.map shift row else row in
+      let n = g.n in
+      grow g (n + k);
+      (* Downwards, so every slot is read before it is overwritten:
+         [shift u >= u].  A row that neither moves nor changes is left
+         alone. *)
+      for u = n - 1 downto 0 do
+        let u' = shift u in
+        let s = g.succ.(u) and p = g.pred.(u) in
+        let s' = map s and p' = map p in
+        if u' <> u || s' != s then g.succ.(u') <- s';
+        if u' <> u || p' != p then g.pred.(u') <- p'
+      done;
+      List.iter
+        (fun p ->
+          g.succ.(p) <- [];
+          g.pred.(p) <- [])
+        ids;
+      g.n <- n + k
 
 let equal a b =
   a.n = b.n && a.m = b.m

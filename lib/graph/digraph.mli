@@ -48,6 +48,15 @@ val unsafe_add_edge : t -> int -> int -> unit
     is corrupted (wrong edge count, duplicated adjacency entries).
     Prepends to both adjacency lists exactly like {!add_edge}. *)
 
+val insert_edge :
+  t -> int -> int -> ahead_in_succ:(int -> bool) -> ahead_in_pred:(int -> bool) -> unit
+(** [insert_edge g u v ~ahead_in_succ ~ahead_in_pred] inserts the edge
+    [u -> v] into [succ g u] right after the longest prefix whose
+    vertices satisfy [ahead_in_succ], and into [pred g v] likewise.
+    It keeps adjacency lists sorted by a key the caller owns.  Like
+    {!unsafe_add_edge}, both endpoints must exist and the edge must be
+    absent. *)
+
 val remove_edge : t -> int -> int -> unit
 (** [remove_edge g u v] deletes the edge [u -> v] if present. *)
 
@@ -78,6 +87,15 @@ val of_edges : ?n:int -> (int * int) list -> t
 
 val transpose : t -> t
 (** [transpose g] is a fresh graph with every edge reversed. *)
+
+val insert_vertices : t -> int list -> unit
+(** [insert_vertices g ids] adds [List.length ids] isolated vertices
+    that take the ids [ids] (strictly ascending, in the new numbering);
+    every old vertex moves up past the insertions below it, and every
+    edge follows its endpoints with adjacency order kept.  Rows that
+    reference no moved vertex are shared, not copied.
+    @raise Invalid_argument unless [ids] ascend strictly within
+    [0 .. n_vertices g + List.length ids - 1]. *)
 
 val equal : t -> t -> bool
 (** Structural equality: same vertex count, same edges, {e and} the

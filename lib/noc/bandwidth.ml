@@ -15,24 +15,28 @@ type t = {
 let analyze ~capacity_mbps net =
   if capacity_mbps <= 0. then invalid_arg "Bandwidth.analyze: capacity <= 0";
   let topo = Network.topology net in
+  let loads = Network.link_loads net in
+  (* Each link's crossing flows, in flow-id order, from one pass over
+     the routes. *)
+  let crossing = Array.make (Topology.n_links topo) [] in
+  List.iter
+    (fun (f : Traffic.flow) ->
+      List.iter
+        (fun c ->
+          let l = Ids.Link.to_int (Channel.link c) in
+          match crossing.(l) with
+          | g :: _ when Ids.Flow.equal g f.Traffic.id -> ()
+          | fs -> crossing.(l) <- f.Traffic.id :: fs)
+        (Network.route net f.Traffic.id))
+    (Traffic.flows (Network.traffic net));
   let usage (l : Topology.link) =
-    let flows =
-      List.filter_map
-        (fun (f : Traffic.flow) ->
-          let crosses =
-            List.exists
-              (fun c -> Ids.Link.equal (Channel.link c) l.Topology.id)
-              (Network.route net f.Traffic.id)
-          in
-          if crosses then Some f.Traffic.id else None)
-        (Traffic.flows (Network.traffic net))
-    in
-    let load_mbps = Network.link_load net l.Topology.id in
+    let id = Ids.Link.to_int l.Topology.id in
+    let load_mbps = loads.(id) in
     {
       link = l.Topology.id;
       load_mbps;
       utilization = load_mbps /. capacity_mbps;
-      flows;
+      flows = List.rev crossing.(id);
     }
   in
   let usages = List.map usage (Topology.links topo) in

@@ -2,17 +2,17 @@ module Digraph = Noc_graph.Digraph
 
 (* The CDG is maintained incrementally across removal iterations, so
    its state is the *index* [dep_flows] — which flow creates which
-   dependency at which position of its route — from which the digraph
-   is a deterministic projection ([refresh]).  Keeping [dep_flows]
-   keyed by channel pairs (not vertex ids) is what makes vertex
-   renumbering after a VC addition cheap and exact.
+   dependency at which position of its route — and the digraph is kept
+   equal to its projection.  Keeping [dep_flows] keyed by channel
+   pairs (not vertex ids) is what makes vertex renumbering after a VC
+   addition cheap and exact.
 
    Exactness matters: the removal loop breaks ties by vertex id and by
    adjacency-list order, so an incrementally maintained CDG must be
    *structurally identical* to [build net] — same vertex numbering,
    same succ/pred order — or the algorithm's trajectory (and the
-   pinned figure series in the tests) silently changes.  [refresh]
-   guarantees this by construction:
+   pinned figure series in the tests) silently changes.  The
+   projection fixes both:
 
    - vertices are the topology's channels sorted by [Channel.compare],
      which is exactly the order [Topology.channels] yields;
@@ -20,12 +20,18 @@ module Digraph = Noc_graph.Digraph
      key — the minimum [(flow, route position)] over the flows that
      create the dependency — which is the order a fresh scan of the
      route list encounters them, because that scan walks flows in
-     ascending id order and each route left to right.
+     ascending id order and each route left to right.  Insertion
+     prepends, so every succ and pred list is in descending key order.
 
    A contributor [(flow, i)] names the dependency at position [i] of
    [flow]'s route, so distinct dependencies never share a
-   first-encounter key: [edge_order] can be a map from key to channel
-   pair, kept up to date pair-by-pair as routes change. *)
+   first-encounter key, and an edge's place in its two adjacency lists
+   is a function of its key alone: [apply_change] moves only the edges
+   whose key changed.
+
+   [bounds] caches, per vertex, a lower bound on the length of the
+   shortest cycle through it (see {!Noc_graph.Cycles.shortest}); it is
+   not part of the CDG's identity. *)
 
 type contributor = Ids.Flow.t * int (* flow, pair index in its route *)
 
@@ -33,20 +39,11 @@ let compare_contributor (f1, i1) (f2, i2) =
   let c = Ids.Flow.compare f1 f2 in
   if c <> 0 then c else Int.compare i1 i2
 
-module Contrib_map = Map.Make (struct
-  type t = contributor
-
-  let compare = compare_contributor
-end)
-
 type t = {
-  mutable graph : Digraph.t;
+  graph : Digraph.t;
   mutable channel_of_vertex : Channel.t array;
-  vertex_of_channel : int Channel.Table.t;
   dep_flows : (Channel.t * Channel.t, contributor list) Hashtbl.t;
-  mutable edge_order : (Channel.t * Channel.t) Contrib_map.t;
-      (** first-encounter key -> dependency; ascending-key iteration is
-          exactly the fresh-build edge insertion order. *)
+  bounds : Noc_graph.Cycles.bounds;
 }
 
 type change = {
@@ -61,6 +58,10 @@ let min_contributor = function
         (List.fold_left
            (fun k c -> if compare_contributor c k < 0 then c else k)
            first rest)
+
+(* The first-encounter key of a dependency, [None] when absent. *)
+let key t pair =
+  min_contributor (Option.value ~default:[] (Hashtbl.find_opt t.dep_flows pair))
 
 let add_route_deps dep_flows flow route =
   List.iteri
@@ -82,62 +83,51 @@ let remove_route_deps dep_flows flow route =
           | rest -> Hashtbl.replace dep_flows pair rest))
     (Route.consecutive_pairs route)
 
-(* Re-derive vertex numbering (from index [from] on — channels below
-   it kept their positions) and the digraph from [channel_of_vertex],
-   [dep_flows] and [edge_order].  Channels are never removed, so
-   replacing the shifted suffix of [vertex_of_channel] leaves no stale
-   entries.  Edges come out of [edge_order] deduplicated (one pair per
-   first-encounter key), so the unchecked digraph insert applies. *)
-let refresh ?(from = 0) t =
-  let n = Array.length t.channel_of_vertex in
-  for i = from to n - 1 do
-    Channel.Table.replace t.vertex_of_channel t.channel_of_vertex.(i) i
-  done;
-  let graph = Digraph.create ~initial_capacity:(max 1 n) () in
-  if n > 0 then Digraph.ensure_vertex graph (n - 1);
-  Contrib_map.iter
-    (fun _ (a, b) ->
-      Digraph.unsafe_add_edge graph
-        (Channel.Table.find t.vertex_of_channel a)
-        (Channel.Table.find t.vertex_of_channel b))
-    t.edge_order;
-  t.graph <- graph
-
-(* Merge the (few) new channels into the sorted vertex array; returns
-   the first index whose numbering changed.  [Topology] only ever adds
-   channels, and [Channel.compare] is total and duplicate-free here
-   (a channel exists at most once), so a single backwards merge keeps
-   the array exactly as a full re-sort would. *)
-let insert_channels t channels =
-  let add = List.sort Channel.compare channels in
-  let old = t.channel_of_vertex in
-  let n_old = Array.length old in
-  let n_add = List.length add in
-  let out = Array.make (n_old + n_add) (List.hd add) in
-  let first_changed = ref (n_old + n_add) in
-  let rec merge i add k =
-    match add with
-    | [] ->
-        (* Every new channel placed: [k = i] holds by counting, so the
-           remaining old prefix keeps its positions. *)
-        for j = 0 to i do
-          out.(j) <- old.(j)
-        done
-    | c :: rest ->
-        if i >= 0 && Channel.compare old.(i) c > 0 then begin
-          out.(k) <- old.(i);
-          if k <> i then first_changed := min !first_changed k;
-          merge (i - 1) add (k - 1)
-        end
-        else begin
-          out.(k) <- c;
-          first_changed := min !first_changed k;
-          merge i rest (k - 1)
-        end
+(* The number of channels of [a] below [c], by binary search. *)
+let rank a c =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Channel.compare a.(mid) c < 0 then go (mid + 1) hi else go lo mid
   in
-  merge (n_old - 1) (List.rev add) (n_old + n_add - 1);
-  t.channel_of_vertex <- out;
-  !first_changed
+  go 0 (Array.length a)
+
+(* The vertex of a channel: its rank in the sorted vertex array, so no
+   table has to follow the renumbering. *)
+let find_vertex t c =
+  let a = t.channel_of_vertex in
+  let i = rank a c in
+  if i < Array.length a && Channel.equal a.(i) c then i else raise Not_found
+
+(* [a] with each [(position, x)] of [ins] (ascending positions in the
+   result) spliced in.  [Array.append] rather than [Array.make]: a
+   large array made with a young initial value forces a minor
+   collection. *)
+let splice a ins =
+  let out = Array.append a (Array.of_list (List.map snd ins)) in
+  let rec go src dst = function
+    | [] -> Array.blit a src out dst (Array.length a - src)
+    | (p, x) :: rest ->
+        Array.blit a src out dst (p - dst);
+        out.(p) <- x;
+        go (src + p - dst) (p + 1) rest
+  in
+  go 0 0 ins;
+  out
+
+(* Add new channels at their sorted places; the digraph and the bounds
+   follow, new vertices with an unknown bound. *)
+let insert_channels t channels =
+  let ins =
+    List.mapi
+      (fun i c -> (rank t.channel_of_vertex c + i, c))
+      (List.sort Channel.compare channels)
+  in
+  let ids = List.map fst ins in
+  t.channel_of_vertex <- splice t.channel_of_vertex ins;
+  Digraph.insert_vertices t.graph ids;
+  Noc_graph.Cycles.insert_unknown t.bounds ids
 
 (* Rebuild-vs-incremental is the central perf trade of the incremental
    CDG work; the counters make the split visible in every trace. *)
@@ -153,29 +143,26 @@ let build net =
      sort is a cheap one-time guarantee, not a per-iteration cost. *)
   Array.sort Channel.compare channels;
   let n = Array.length channels in
-  let vertex_of_channel = Channel.Table.create (2 * n) in
   let dep_flows = Hashtbl.create (4 * n) in
   List.iter
     (fun (flow, route) -> add_route_deps dep_flows flow route)
     (Network.routes net);
-  let edge_order =
+  let keyed =
     Hashtbl.fold
       (fun pair contribs acc ->
         match min_contributor contribs with
         | None -> acc
-        | Some key -> Contrib_map.add key pair acc)
-      dep_flows Contrib_map.empty
+        | Some k -> (k, pair) :: acc)
+      dep_flows []
   in
-  let t =
-    {
-      graph = Digraph.create ();
-      channel_of_vertex = channels;
-      vertex_of_channel;
-      dep_flows;
-      edge_order;
-    }
-  in
-  refresh t;
+  let graph = Digraph.create ~initial_capacity:(max 1 n) () in
+  if n > 0 then Digraph.ensure_vertex graph (n - 1);
+  let t = { graph; channel_of_vertex = channels; dep_flows; bounds = Noc_graph.Cycles.bounds n } in
+  (* Keys are distinct, so the sort is total; each pair is listed once,
+     so the unchecked insert applies. *)
+  List.iter
+    (fun (_, (a, b)) -> Digraph.unsafe_add_edge graph (find_vertex t a) (find_vertex t b))
+    (List.sort (fun (k1, _) (k2, _) -> compare_contributor k1 k2) keyed);
   Noc_obs.Trace.add_attr sp "channels" (Noc_obs.Trace.Int n);
   t
 
@@ -189,14 +176,10 @@ let apply_change t { new_channels; reroutes } =
   @@ fun _sp ->
   Noc_obs.Metrics.incr applies_total;
   (* Collect the dependencies whose contributor lists may change, and
-     their keys as of now, before touching anything: [edge_order] can
-     then be patched pair-by-pair instead of being rebuilt. *)
+     their keys as of now, before touching anything. *)
   let affected = Hashtbl.create 16 in
   let note pair =
-    if not (Hashtbl.mem affected pair) then
-      Hashtbl.replace affected pair
-        (min_contributor
-           (Option.value ~default:[] (Hashtbl.find_opt t.dep_flows pair)))
+    if not (Hashtbl.mem affected pair) then Hashtbl.replace affected pair (key t pair)
   in
   List.iter
     (fun (_, old_route, new_route) ->
@@ -208,38 +191,39 @@ let apply_change t { new_channels; reroutes } =
       remove_route_deps t.dep_flows flow old_route;
       add_route_deps t.dep_flows flow new_route)
     reroutes;
-  (* Two phases: drop every stale key first, then insert the fresh
-     ones.  A key can migrate between pairs in one change (the old
-     route's position [i] and the new route's position [i] are
-     different dependencies), so interleaving remove/add per pair
-     could clobber a binding another pair just wrote. *)
   let rekeyed =
     Hashtbl.fold
       (fun pair old_key acc ->
-        let new_key =
-          min_contributor
-            (Option.value ~default:[] (Hashtbl.find_opt t.dep_flows pair))
-        in
+        let new_key = key t pair in
         if old_key = new_key then acc else (pair, old_key, new_key) :: acc)
       affected []
   in
+  if new_channels <> [] then insert_channels t new_channels;
+  let vertex = find_vertex t in
+  (* Two phases: unlink every edge whose key changed or vanished, then
+     link every edge whose key changed or appeared at its new key's
+     place.  Between the phases every listed edge has its current key,
+     so each list stays in descending key order throughout. *)
   List.iter
-    (fun (_, old_key, _) ->
-      match old_key with
-      | Some k -> t.edge_order <- Contrib_map.remove k t.edge_order
-      | None -> ())
+    (fun ((a, b), old_key, _) ->
+      if old_key <> None then Digraph.remove_edge t.graph (vertex a) (vertex b))
     rekeyed;
+  let added = ref [] in
   List.iter
-    (fun (pair, _, new_key) ->
+    (fun ((a, b), old_key, new_key) ->
       match new_key with
-      | Some k -> t.edge_order <- Contrib_map.add k pair t.edge_order
-      | None -> ())
+      | None -> ()
+      | Some k ->
+          let u = vertex a and v = vertex b in
+          let later pair = compare_contributor (Option.get (key t pair)) k > 0 in
+          Digraph.insert_edge t.graph u v
+            ~ahead_in_succ:(fun w -> later (a, t.channel_of_vertex.(w)))
+            ~ahead_in_pred:(fun w -> later (t.channel_of_vertex.(w), b));
+          if old_key = None then added := (u, v) :: !added)
     rekeyed;
-  let from =
-    if new_channels = [] then Array.length t.channel_of_vertex
-    else insert_channels t new_channels
-  in
-  refresh ~from t
+  (* Deleting an edge never shortens a cycle, and every cycle the
+     change created runs through a new edge. *)
+  Noc_graph.Cycles.relax_bounds t.bounds t.graph ~added:!added
 
 let graph t = t.graph
 let n_channels t = Array.length t.channel_of_vertex
@@ -249,18 +233,34 @@ let channel_of_vertex t v =
     invalid_arg (Printf.sprintf "Cdg.channel_of_vertex: vertex %d out of range" v);
   t.channel_of_vertex.(v)
 
-let vertex_of_channel t c = Channel.Table.find t.vertex_of_channel c
+let vertex_of_channel = find_vertex
 
 let flows_on_dependency t ~src ~dst =
   List.sort_uniq Ids.Flow.compare
     (List.map fst
        (Option.value ~default:[] (Hashtbl.find_opt t.dep_flows (src, dst))))
 
+let flows_through t channels =
+  let found = ref [] in
+  let add pair =
+    match Hashtbl.find_opt t.dep_flows pair with
+    | Some contribs -> List.iter (fun (f, _) -> found := f :: !found) contribs
+    | None -> ()
+  in
+  List.iter
+    (fun c ->
+      match find_vertex t c with
+      | exception Not_found -> ()
+      | v ->
+          Digraph.iter_succ (fun w -> add (c, t.channel_of_vertex.(w))) t.graph v;
+          Digraph.iter_pred (fun u -> add (t.channel_of_vertex.(u), c)) t.graph v)
+    channels;
+  List.sort_uniq Ids.Flow.compare !found
+
 let equal a b =
   Array.length a.channel_of_vertex = Array.length b.channel_of_vertex
   && Array.for_all2 Channel.equal a.channel_of_vertex b.channel_of_vertex
   && Digraph.equal a.graph b.graph
-  && Contrib_map.equal ( = ) a.edge_order b.edge_order
   &&
   let sorted_bindings t =
     Hashtbl.fold
@@ -273,13 +273,10 @@ let equal a b =
 
 let is_deadlock_free t = not (Noc_graph.Cycles.has_cycle t.graph)
 
-let smallest_cycle ?(hint = []) t =
-  let prefer =
-    List.filter_map (Channel.Table.find_opt t.vertex_of_channel) hint
-  in
+let smallest_cycle t =
   Option.map
     (List.map (channel_of_vertex t))
-    (Noc_graph.Cycles.shortest ~prefer t.graph)
+    (Noc_graph.Cycles.shortest ~bounds:t.bounds t.graph)
 
 let cycles ?max_cycles t =
   List.map

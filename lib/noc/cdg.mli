@@ -23,15 +23,25 @@ val apply_change : t -> change -> unit
 (** [apply_change t c] updates [t] in place so that it equals (in the
     sense of {!equal}, i.e. bit-for-bit including vertex numbering and
     adjacency order) a fresh {!build} of the edited network.  This is
-    the removal loop's fast path: the flow→dependency index is patched
-    with only the rerouted flows' old and new pairs, and the digraph is
-    re-projected from the index without touching the network at all. *)
+    the removal loop's fast path and never reads the network: the
+    flow→dependency index is patched with only the rerouted flows' old
+    and new pairs; new channels take their sorted places and every
+    vertex id moves through one old→new shift; and only the
+    dependencies whose first-encounter key changed are unlinked and
+    relinked, each at the place its key gives it in the adjacency
+    lists.  The per-vertex cycle bounds that {!smallest_cycle} keeps
+    follow the renumbering, and each drops to
+    [dist v u + 1 + dist w v] over the dependencies [u -> w] the change
+    added (see {!Noc_graph.Cycles.relax_bounds}): removing a dependency
+    never shortens a cycle, and every new cycle uses a new
+    dependency. *)
 
 val equal : t -> t -> bool
 (** Structural identity: same channels in the same vertex order, same
     digraph including adjacency-list order, same dependency→flows
-    index.  Two equal CDGs drive the removal algorithm through the
-    same trajectory; used by the [validate] mode of
+    index.  The cycle bounds kept for {!smallest_cycle} are a cache
+    and not compared.  Two equal CDGs drive the removal algorithm
+    through the same trajectory; used by the [validate] mode of
     [Removal.run] to assert incremental maintenance against a fresh
     rebuild. *)
 
@@ -51,15 +61,25 @@ val flows_on_dependency : t -> src:Channel.t -> dst:Channel.t -> Ids.Flow.t list
 (** The flows whose routes create the dependency edge, in flow-id
     order; empty when the edge is absent. *)
 
+val flows_through : t -> Channel.t list -> Ids.Flow.t list
+(** The flows that create a dependency into or out of one of the
+    channels, in flow-id order: every flow whose route uses one of them
+    and has more than one channel.  Channels unknown to this CDG are
+    ignored. *)
+
 val is_deadlock_free : t -> bool
 (** [true] iff the CDG is acyclic. *)
 
-val smallest_cycle : ?hint:Channel.t list -> t -> Channel.t list option
+val smallest_cycle : t -> Channel.t list option
 (** The paper's [GetSmallestCycle]: a minimum-length cycle as a channel
-    list in dependency order, or [None] when acyclic.  [hint] channels
-    (typically those touched by the last break) seed the search bound —
-    they accelerate the scan but never change the returned cycle;
-    channels unknown to this CDG are ignored. *)
+    list in dependency order, or [None] when acyclic.  The CDG keeps a
+    lower bound on the shortest cycle through each channel across calls
+    and {!apply_change}s ({!Noc_graph.Cycles.shortest}), so after a
+    break only channels whose bound fell below the current minimum are
+    searched again.  The bounds change the cost, never the cycle: the
+    result equals {!Noc_graph.Cycles.shortest_reference} on {!graph}.
+    The search updates the bounds in place, so two domains must not
+    search one CDG at the same time. *)
 
 val cycles : ?max_cycles:int -> t -> Channel.t list list
 (** All elementary cycles (bounded enumeration), for diagnostics. *)

@@ -59,6 +59,27 @@ let link_load t l =
   in
   List.fold_left add 0. (Traffic.flows t.traffic)
 
+(* One pass over the flows in id order: each link's sum is built in
+   the same order as [link_load]'s fold, so the floats are identical.
+   [last] counts a link once per flow that uses it. *)
+let link_loads t =
+  let n = Topology.n_links t.topology in
+  let loads = Array.make n 0. in
+  let last = Array.make n (-1) in
+  List.iter
+    (fun (f : Traffic.flow) ->
+      let id = Ids.Flow.to_int f.Traffic.id in
+      List.iter
+        (fun c ->
+          let l = Ids.Link.to_int (Channel.link c) in
+          if last.(l) <> id then begin
+            last.(l) <- id;
+            loads.(l) <- loads.(l) +. f.Traffic.bandwidth
+          end)
+        (route t f.Traffic.id))
+    (Traffic.flows t.traffic);
+  loads
+
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a@,%a@,routes:" Topology.pp t.topology Traffic.pp
     t.traffic;

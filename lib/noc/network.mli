@@ -38,4 +38,8 @@ val channel_load : t -> Channel.t -> float
 val link_load : t -> Ids.Link.t -> float
 (** Total bandwidth over all VCs of a link. *)
 
+val link_loads : t -> float array
+(** [link_load] of every link at once, indexed by link id, in one pass
+    over the routes; each entry is bit-identical to [link_load]. *)
+
 val pp : Format.formatter -> t -> unit

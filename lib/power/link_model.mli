@@ -9,6 +9,9 @@ type breakdown = {
   area_um2 : float;
 }
 
-val analyze : Params.t -> Noc_synth.Floorplan.t -> Network.t -> Ids.Link.t -> breakdown
+val analyze :
+  loads:float array -> Params.t -> Noc_synth.Floorplan.t -> Ids.Link.t -> breakdown
+(** [loads] is {!Noc_model.Network.link_loads} of the network the
+    floorplan was made for. *)
 
 val pp_breakdown : Format.formatter -> breakdown -> unit

@@ -10,7 +10,24 @@ type breakdown = {
   area_um2 : float;
 }
 
-let analyze (p : Params.t) net s =
+type loads = { link : float array; injected : float array }
+
+(* One pass over the flows for every switch's injected traffic, in
+   flow order as the per-switch sum was. *)
+let loads net =
+  let topo = Network.topology net in
+  let injected = Array.make (Topology.n_switches topo) 0. in
+  List.iter
+    (fun (f : Traffic.flow) ->
+      match Network.route net f.Traffic.id with
+      | first :: _ ->
+          let src = Ids.Switch.to_int (Topology.link topo (Channel.link first)).Topology.src in
+          injected.(src) <- injected.(src) +. f.Traffic.bandwidth
+      | [] -> ())
+    (Traffic.flows (Network.traffic net));
+  { link = Network.link_loads net; injected }
+
+let analyze ~loads (p : Params.t) net s =
   let topo = Network.topology net in
   let in_links = Topology.in_links topo s in
   let out_links = Topology.out_links topo s in
@@ -31,22 +48,11 @@ let analyze (p : Params.t) net s =
      requests the allocator once. *)
   let arriving_mbps =
     List.fold_left
-      (fun acc (l : Topology.link) -> acc +. Network.link_load net l.Topology.id)
+      (fun acc (l : Topology.link) -> acc +. loads.link.(Ids.Link.to_int l.Topology.id))
       0. in_links
   in
   (* Locally injected traffic also crosses the crossbar. *)
-  let injected_mbps =
-    List.fold_left
-      (fun acc (f : Traffic.flow) ->
-        match Network.route net f.Traffic.id with
-        | first :: _ ->
-            let l = Topology.link topo (Channel.link first) in
-            if Ids.Switch.equal l.Topology.src s then acc +. f.Traffic.bandwidth
-            else acc
-        | [] -> acc)
-      0.
-      (Traffic.flows (Network.traffic net))
-  in
+  let injected_mbps = loads.injected.(Ids.Switch.to_int s) in
   let bits_per_s mbps = mbps *. 1.0e6 *. 8. in
   let flits_per_s mbps = bits_per_s mbps /. flit_bits in
   let dynamic_pj_per_s =

@@ -19,8 +19,19 @@ type breakdown = {
   area_um2 : float;
 }
 
-val analyze : Params.t -> Network.t -> Ids.Switch.t -> breakdown
-(** Power/area of one switch under the network's routed traffic. *)
+type loads = {
+  link : float array;  (** {!Noc_model.Network.link_loads}. *)
+  injected : float array;
+      (** Per switch id, the bandwidth of the flows whose route starts
+          there. *)
+}
+
+val loads : Network.t -> loads
+(** Both, in one pass over the routes each. *)
+
+val analyze : loads:loads -> Params.t -> Network.t -> Ids.Switch.t -> breakdown
+(** Power/area of one switch under the network's routed traffic;
+    [loads] must be {!loads} of the same network. *)
 
 val total_mw : breakdown -> float
 

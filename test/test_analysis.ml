@@ -910,6 +910,111 @@ let prop_prover_agrees_on_regular_topologies =
       in
       as_is && mutated && prepared)
 
+(* The eager packing [vc_lower_bound] replaced, kept here as its
+   oracle: every round re-measures the shortest live cycle through
+   every live vertex with an unbounded BFS and packs the first
+   shortest.  The lazy packing must return the same cycles in the same
+   order, not just as many. *)
+module Eager_bound = struct
+  let arena net =
+    let channels = Array.of_list (Topology.channels (Network.topology net)) in
+    let n = Array.length channels in
+    let index = Channel.Table.create (2 * max 1 n) in
+    Array.iteri (fun i c -> Channel.Table.replace index c i) channels;
+    let succs = Array.make n [] and preds = Array.make n [] in
+    let seen = Hashtbl.create 256 in
+    List.iter
+      (fun (_flow, route) ->
+        List.iter
+          (fun (a, b) ->
+            match (Channel.Table.find_opt index a, Channel.Table.find_opt index b) with
+            | Some u, Some v when not (Hashtbl.mem seen (u, v)) ->
+                Hashtbl.replace seen (u, v) ();
+                succs.(u) <- v :: succs.(u);
+                preds.(v) <- u :: preds.(v)
+            | _ -> ())
+          (Route.consecutive_pairs route))
+      (Network.routes net);
+    (channels, succs, preds)
+
+  let through (channels, succs, preds) alive start =
+    let n = Array.length channels in
+    let dist = Array.make n (-1) and parent = Array.make n (-1) in
+    dist.(start) <- 0;
+    let queue = Queue.create () in
+    Queue.add start queue;
+    while not (Queue.is_empty queue) do
+      let v = Queue.pop queue in
+      List.iter
+        (fun u ->
+          if alive.(u) && dist.(u) < 0 then begin
+            dist.(u) <- dist.(v) + 1;
+            parent.(u) <- v;
+            Queue.add u queue
+          end)
+        succs.(v)
+    done;
+    let closer =
+      List.fold_left
+        (fun best p ->
+          if (not alive.(p)) || dist.(p) < 0 then best
+          else match best with Some b when dist.(b) <= dist.(p) -> best | _ -> Some p)
+        None preds.(start)
+    in
+    match closer with
+    | None -> None
+    | Some p ->
+        let rec unwind v acc = if v = start then start :: acc else unwind parent.(v) (v :: acc) in
+        Some (unwind p [])
+
+  let disjoint_cycles net =
+    let ((channels, _, _) as a) = arena net in
+    let n = Array.length channels in
+    let alive = Array.make n true in
+    let cycles = ref [] in
+    let continue_ = ref true in
+    while !continue_ do
+      let best = ref None in
+      for v = 0 to n - 1 do
+        if alive.(v) then
+          match through a alive v with
+          | None -> ()
+          | Some cycle -> (
+              match !best with
+              | Some b when List.length b <= List.length cycle -> ()
+              | _ -> best := Some cycle)
+      done;
+      match !best with
+      | None -> continue_ := false
+      | Some cycle ->
+          List.iter (fun v -> alive.(v) <- false) cycle;
+          cycles := cycle :: !cycles
+    done;
+    List.rev_map (List.map (fun v -> channels.(v))) !cycles
+end
+
+let lazy_bound_matches_eager net =
+  let b = DF.vc_lower_bound net in
+  let eager = Eager_bound.disjoint_cycles net in
+  b.DF.disjoint_cycles = eager && b.DF.lower_bound = List.length eager
+
+let prop_vc_bound_matches_eager =
+  QCheck.Test.make ~name:"lazy VC lower bound packs the eager packing's cycles"
+    ~count:100 arbitrary_net (fun input -> lazy_bound_matches_eager (build_net input))
+
+let prop_vc_bound_matches_eager_regular =
+  QCheck.Test.make ~name:"lazy VC lower bound matches eager on ring/mesh/torus"
+    ~count:100 arbitrary_regular_net (fun input ->
+      lazy_bound_matches_eager (build_regular input))
+
+let test_vc_bound_matches_eager_synthetic () =
+  let traffic = Noc_benchmarks.Synthetic.uniform ~n_cores:256 ~flows_per_core:3 ~seed:7 in
+  let net = Noc_synth.Custom.synthesize_exn traffic ~n_switches:64 in
+  let b = DF.vc_lower_bound net in
+  check int_c "256/64 lower bound" 13 b.DF.lower_bound;
+  check bool_c "256/64 cycles equal the eager packing's" true
+    (b.DF.disjoint_cycles = Eager_bound.disjoint_cycles net)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -920,6 +1025,8 @@ let qcheck_cases =
       prop_prover_agrees_with_certify;
       prop_removal_meets_lower_bound;
       prop_prover_agrees_on_regular_topologies;
+      prop_vc_bound_matches_eager;
+      prop_vc_bound_matches_eager_regular;
     ]
 
 let () =
@@ -948,6 +1055,8 @@ let () =
           tc "verdicts and witnesses" `Quick test_dlf_verdicts;
           tc "pass codes" `Quick test_dlf_pass_codes;
           tc "vc lower bound" `Quick test_dlf_vc_bound;
+          tc "vc lower bound equals eager packing at 256/64" `Quick
+            test_vc_bound_matches_eager_synthetic;
           tc "registry agreement" `Quick test_dlf_registry_agreement;
           tc "prover/simulator triangle" `Quick test_dlf_sim_triangle;
         ] );

@@ -943,6 +943,7 @@ let prop_incremental_cdg_exact =
       let reb = Removal.run ~incremental:false reb_net in
       inc.Removal.iterations = reb.Removal.iterations
       && inc.Removal.vcs_added = reb.Removal.vcs_added
+      && inc.Removal.changes = reb.Removal.changes
       && Cdg.equal (Cdg.build inc_net) (Cdg.build reb_net))
 
 let prop_cost_tables_match_reference =
@@ -951,12 +952,14 @@ let prop_cost_tables_match_reference =
   QCheck.Test.make ~name:"optimized cost tables equal the reference tables"
     ~count:100 arbitrary_net (fun input ->
       let net = build_net input in
-      match Cdg.smallest_cycle (Cdg.build net) with
+      let cdg = Cdg.build net in
+      match Cdg.smallest_cycle cdg with
       | None -> true
       | Some cycle ->
           let fwd, bwd = Cost_table.both net cycle in
           fwd = Cost_table.forward_reference net cycle
-          && bwd = Cost_table.backward_reference net cycle)
+          && bwd = Cost_table.backward_reference net cycle
+          && Cost_table.both ~candidates:(Cdg.flows_through cdg cycle) net cycle = (fwd, bwd))
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -984,6 +987,7 @@ let synthetic_nets () =
       (name, Noc_synth.Custom.synthesize_exn traffic ~n_switches))
     [
       ("uniform/s7", uniform ~n_cores:16 ~flows_per_core:3 ~seed:7, 8);
+      ("uniform/128", uniform ~n_cores:128 ~flows_per_core:3 ~seed:7, 32);
       ("uniform/s23", uniform ~n_cores:20 ~flows_per_core:4 ~seed:23, 10);
       ("transpose", transpose ~n_cores:16 ~bandwidth:100., 7);
       ( "hotspot",
@@ -1021,16 +1025,39 @@ let test_incremental_equals_rebuild_on_synthetic () =
       check int_c
         (Printf.sprintf "%s: vcs added" name)
         reb.Removal.vcs_added inc.Removal.vcs_added;
+      (* The whole trajectory: cycle broken, direction, duplicates and
+         every rerouted flow's old and new route, per iteration. *)
+      check bool_c
+        (Printf.sprintf "%s: changes" name)
+        true
+        (inc.Removal.changes = reb.Removal.changes);
       check bool_c
         (Printf.sprintf "%s: final CDGs equal" name)
         true
         (Cdg.equal (Cdg.build inc_net) (Cdg.build reb_net)))
     (synthetic_nets ())
 
+(* Minor words are deterministic.  Before the CDG kept cycle bounds,
+   removal here allocated 2,253,221 words: every update re-projected
+   all dependencies, and every cycle search rebuilt SCCs and a
+   predecessor snapshot while the cost tables scanned every flow.  It
+   now allocates about 0.84M. *)
+let test_removal_allocation_guard () =
+  let traffic = Noc_benchmarks.Synthetic.uniform ~n_cores:256 ~flows_per_core:3 ~seed:7 in
+  let net = Noc_synth.Custom.synthesize_exn traffic ~n_switches:64 in
+  let w0 = Gc.minor_words () in
+  let report = Removal.run net in
+  let words = Gc.minor_words () -. w0 in
+  check int_c "iterations" 93 report.Removal.iterations;
+  if words >= 1.2e6 then
+    Alcotest.failf "removal at 256 cores / 64 switches allocated %.0f minor words (limit 1.2e6)"
+      words
+
 let test_cost_tables_reference_on_synthetic () =
   List.iter
     (fun (name, net) ->
-      match Cdg.smallest_cycle (Cdg.build net) with
+      let cdg = Cdg.build net in
+      match Cdg.smallest_cycle cdg with
       | None -> ()
       | Some cycle ->
           let fwd, bwd = Cost_table.both net cycle in
@@ -1041,7 +1068,11 @@ let test_cost_tables_reference_on_synthetic () =
           check bool_c
             (Printf.sprintf "%s: backward table" name)
             true
-            (bwd = Cost_table.backward_reference net cycle))
+            (bwd = Cost_table.backward_reference net cycle);
+          check bool_c
+            (Printf.sprintf "%s: tables from the CDG's candidate flows" name)
+            true
+            (Cost_table.both ~candidates:(Cdg.flows_through cdg cycle) net cycle = (fwd, bwd)))
     (synthetic_nets ())
 
 let () =
@@ -1152,6 +1183,7 @@ let () =
             test_incremental_equals_rebuild_on_synthetic;
           tc "cost tables match reference on synthetic topologies"
             test_cost_tables_reference_on_synthetic;
+          tc "removal allocation guard" test_removal_allocation_guard;
         ] );
       ("properties", qcheck_cases);
     ]

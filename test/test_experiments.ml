@@ -399,8 +399,9 @@ let test_removal_json_roundtrip () =
         List.sort_uniq compare
           (List.map (fun (r : Ledger.row) -> r.case) baseline.rows)
       in
-      (* 11 sweep points plus the D36_8 aggregate. *)
-      check int_c "committed cases" 12 (List.length cases);
+      (* 11 sweep points, two synthetic ladder rungs and the D36_8
+         aggregate. *)
+      check int_c "committed cases" 14 (List.length cases);
       check Alcotest.string "to_json re-renders the committed file"
         Baselines.removal (Ledger.to_json baseline)
 

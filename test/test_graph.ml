@@ -98,6 +98,20 @@ let test_copy_independent () =
   check int_c "original vertex count" 2 (Digraph.n_vertices g);
   check bool_c "copy lost edge" false (Digraph.mem_edge g' 0 1)
 
+(* Inserted vertices take the given ids; old vertices move up past
+   them and keep their adjacency order. *)
+let test_insert_vertices () =
+  let g = Digraph.of_edges [ (0, 1); (1, 2); (2, 0); (0, 2) ] in
+  Digraph.insert_vertices g [ 1; 3 ];
+  check int_c "vertices" 5 (Digraph.n_vertices g);
+  check int_c "edges" 4 (Digraph.n_edges g);
+  check (Alcotest.list int_c) "succ 0" [ 4; 2 ] (Digraph.succ g 0);
+  check (Alcotest.list int_c) "pred 4" [ 0; 2 ] (Digraph.pred g 4);
+  check (Alcotest.list int_c) "new vertex 1" [] (Digraph.succ g 1 @ Digraph.pred g 1);
+  check (Alcotest.list int_c) "new vertex 3" [] (Digraph.succ g 3 @ Digraph.pred g 3);
+  check (Alcotest.list (Alcotest.pair int_c int_c)) "edges"
+    [ (0, 2); (0, 4); (2, 4); (4, 0) ] (Digraph.edges g)
+
 let test_of_edges_n () =
   let g = Digraph.of_edges ~n:10 [ (0, 1) ] in
   check int_c "forced size" 10 (Digraph.n_vertices g)
@@ -688,18 +702,69 @@ let prop_shortest_matches_reference =
       let g = build input in
       Cycles.shortest g = Cycles.shortest_reference g)
 
-(* Search hints are pure acceleration: any prefer list (including
-   out-of-range vertices) must leave the result bit-identical. *)
-let prop_shortest_prefer_lossless =
-  QCheck.Test.make ~name:"shortest with hints returns the same cycle"
-    ~count:200 arbitrary_graph (fun input ->
-      let g = build input in
-      let n = Digraph.n_vertices g in
-      let prefers =
-        [ [ 0 ]; [ n - 1; 0; n / 2 ]; [ -1; n + 5 ]; List.init n Fun.id ]
+(* Cached bounds across edits: after every edge deletion, batch of
+   edge additions (bounds lowered to [dist v u + 1 + dist w v] over the
+   new edges' sources [u] and targets [w]) and vertex insertion, the
+   bounded search returns exactly the reference cycle. *)
+type edit = Add of (int * int) list | Remove of int * int | Insert of int
+
+let arbitrary_edits =
+  let gen =
+    QCheck.Gen.(
+      random_graph_gen >>= fun (n, edges) ->
+      let vertex = int_bound (n - 1) in
+      let edit =
+        frequency
+          [
+            (4, map (fun es -> Add es) (list_size (int_range 1 3) (pair vertex vertex)));
+            (4, map2 (fun u v -> Remove (u, v)) vertex vertex);
+            (1, map (fun p -> Insert p) vertex);
+          ]
       in
-      let expected = Cycles.shortest g in
-      List.for_all (fun prefer -> Cycles.shortest ~prefer g = expected) prefers)
+      list_size (int_bound 25) edit >|= fun edits -> ((n, edges), edits))
+  in
+  let print ((n, es), edits) =
+    let edit = function
+      | Add es -> String.concat " " (List.map (fun (u, v) -> Printf.sprintf "+%d,%d" u v) es)
+      | Remove (u, v) -> Printf.sprintf "-%d,%d" u v
+      | Insert p -> Printf.sprintf "v%d" p
+    in
+    Printf.sprintf "n=%d edges=[%s] edits=[%s]" n
+      (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "%d,%d" u v) es))
+      (String.concat "; " (List.map edit edits))
+  in
+  QCheck.make ~print gen
+
+let prop_shortest_bounds_under_edits =
+  QCheck.Test.make ~name:"shortest with cached bounds equals the reference under edits"
+    ~count:300 arbitrary_edits (fun (input, edits) ->
+      let g = build input in
+      let b = Cycles.bounds (Digraph.n_vertices g) in
+      let agrees () = Cycles.shortest ~bounds:b g = Cycles.shortest_reference g in
+      agrees ()
+      && List.for_all
+           (fun e ->
+             let n = Digraph.n_vertices g in
+             (match e with
+             | Add es ->
+                 let added =
+                   List.filter_map
+                     (fun (u, v) ->
+                       let u = u mod n and v = v mod n in
+                       if Digraph.mem_edge g u v then None
+                       else begin
+                         Digraph.add_edge g u v;
+                         Some (u, v)
+                       end)
+                     es
+                 in
+                 Cycles.relax_bounds b g ~added
+             | Remove (u, v) -> Digraph.remove_edge g (u mod n) (v mod n)
+             | Insert p ->
+                 Digraph.insert_vertices g [ p mod (n + 1) ];
+                 Cycles.insert_unknown b [ p mod (n + 1) ]);
+             agrees ())
+           edits)
 
 (* [bound] is an exclusive cutoff: a bound one above the true length
    changes nothing, the true length itself rules the cycle out. *)
@@ -725,7 +790,7 @@ let qcheck_cases =
       prop_shortest_cycle_valid;
       prop_shortest_cycle_minimal;
       prop_shortest_matches_reference;
-      prop_shortest_prefer_lossless;
+      prop_shortest_bounds_under_edits;
       prop_shortest_through_bound_lossless;
       prop_transpose_involution;
       prop_bfs_triangle;
@@ -757,6 +822,7 @@ let () =
           tc "transpose" test_transpose;
           tc "copy is independent" test_copy_independent;
           tc "of_edges ~n" test_of_edges_n;
+          tc "insert_vertices shifts ids" test_insert_vertices;
         ] );
       ( "traversal",
         [

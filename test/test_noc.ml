@@ -256,6 +256,36 @@ let test_network_loads () =
   check (Alcotest.float 1e-9) "other vc empty" 0.
     (Network.channel_load net (ch ~vc:1 0))
 
+(* [link_loads] sums each link in [link_load]'s order, so the floats
+   are equal bit for bit, not just within a tolerance. *)
+let test_link_loads_exact () =
+  let designs =
+    [
+      ( "uniform 128/32",
+        Noc_synth.Custom.synthesize_exn
+          (Noc_benchmarks.Synthetic.uniform ~n_cores:128 ~flows_per_core:3 ~seed:7)
+          ~n_switches:32 );
+      ( "D36_8@14",
+        let spec = Option.get (Noc_benchmarks.Registry.find "D36_8") in
+        Noc_synth.Custom.synthesize_exn (spec.Noc_benchmarks.Spec.build ()) ~n_switches:14 );
+    ]
+  in
+  List.iter
+    (fun (name, net) ->
+      let loads = Network.link_loads net in
+      let topo = Network.topology net in
+      check int_c (name ^ ": one entry per link") (Topology.n_links topo) (Array.length loads);
+      List.iter
+        (fun (l : Topology.link) ->
+          let id = l.Topology.id in
+          if Int64.bits_of_float loads.(Ids.Link.to_int id)
+             <> Int64.bits_of_float (Network.link_load net id)
+          then
+            Alcotest.failf "%s: link %d: %h <> %h" name (Ids.Link.to_int id)
+              loads.(Ids.Link.to_int id) (Network.link_load net id))
+        (Topology.links topo))
+    designs
+
 let test_network_copy_isolated () =
   let ring = Fixtures.paper_ring () in
   let net = ring.Fixtures.net in
@@ -933,6 +963,7 @@ let () =
           tc "routes roundtrip" test_network_routes_roundtrip;
           tc "endpoints" test_network_endpoints;
           tc "loads" test_network_loads;
+          tc "link_loads equals link_load exactly" test_link_loads_exact;
           tc "copy isolated" test_network_copy_isolated;
         ] );
       ( "cdg",
